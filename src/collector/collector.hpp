@@ -137,8 +137,9 @@ class CollectorService {
   /// Drain everything still queued, then stop the IPD thread.
   void stop();
 
-  /// The most recently published lookup table (never null after the first
-  /// snapshot; empty table before that).
+  /// The most recently published lookup table (never null; empty table
+  /// before the first snapshot). Lookup results point into the table, so
+  /// hold this shared_ptr for as long as they are used.
   std::shared_ptr<const core::LpmTable> current_table() const;
 
   /// Latest snapshot of all ranges (copy; for dashboards/tests).

@@ -1,8 +1,8 @@
 // Generic binary longest-prefix-match trie.
 //
-// Used for BGP RIB lookups and for the validation tables built from IPD
-// output (§5.1 of the paper: "create a Longest Prefix Match (LPM) lookup
-// table from the IPD output"). One trie holds one address family.
+// The mutable LPM structure: BGP RIB lookups use it, and the tests use it
+// as the reference for core::LpmTable, the immutable flat table built from
+// IPD output (§5.1 of the paper). One trie holds one address family.
 #pragma once
 
 #include <cstddef>

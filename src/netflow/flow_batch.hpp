@@ -10,6 +10,7 @@
 // in arrival order — batching never reorders ingest.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -45,6 +46,14 @@ struct FlowBatch {
     packets.reserve(n);
     bytes.reserve(n);
     ingress.reserve(n);
+  }
+
+  /// Make room for `n` more records. Capacity at least doubles whenever it
+  /// has to grow, so appending many datagrams into one batch reallocates
+  /// O(log n) times rather than on every append.
+  void reserve_more(std::size_t n) {
+    const std::size_t need = size() + n;
+    if (need > ts.capacity()) reserve(std::max(need, 2 * ts.capacity()));
   }
 
   void push_back(const FlowRecord& r) {
@@ -101,7 +110,7 @@ struct FlowBatch {
 /// Copy a row-major span into a batch (bridging existing call sites).
 inline void append_records(FlowBatch& batch,
                            std::span<const FlowRecord> records) {
-  batch.reserve(batch.size() + records.size());
+  batch.reserve_more(records.size());
   for (const FlowRecord& r : records) batch.push_back(r);
 }
 

@@ -348,6 +348,26 @@ bool Parser::parse_batch(std::span<const std::uint8_t> bytes,
   const std::uint32_t export_time = get32(bytes, 4);
   const std::uint32_t domain = get32(bytes, 12);
 
+  // Grow the batch once for every data set whose template is already
+  // known: a message usually carries an IPv4 and an IPv6 set, and sizing
+  // them one at a time would make the second set's reserve_more double
+  // the first set's capacity. This is only a size hint; the walk below
+  // validates the message.
+  std::size_t known_records = 0;
+  for (std::size_t at = kMessageHeaderBytes; at + 4 <= bytes.size();) {
+    const std::uint16_t set_id = get16(bytes, at);
+    const std::uint16_t set_len = get16(bytes, at + 2);
+    if (set_len < 4 || at + set_len > bytes.size()) break;
+    if (set_id >= kMinDataSetId) {
+      if (const Template* tmpl = find_template(domain, set_id)) {
+        const std::size_t stride = tmpl->record_bytes();
+        if (stride > 0) known_records += (set_len - 4u) / stride;
+      }
+    }
+    at += set_len;
+  }
+  out.reserve_more(known_records);
+
   std::size_t at = kMessageHeaderBytes;
   while (at + 4 <= bytes.size()) {
     const std::uint16_t set_id = get16(bytes, at);
@@ -398,7 +418,7 @@ bool Parser::parse_data_set_batch(std::span<const std::uint8_t> body,
     // src(4) dst(4) iface(4) octets(8) packets(8) start(4); stride 32.
     constexpr std::size_t kStride = 32;
     const std::size_t n = body.size() / kStride;
-    out.reserve(out.size() + n);
+    out.reserve_more(n);
     const std::uint8_t* p = body.data();
     for (std::size_t i = 0; i < n; ++i, p += kStride) {
       const std::uint64_t w0 = load64be(p);  // src | dst
@@ -418,7 +438,7 @@ bool Parser::parse_data_set_batch(std::span<const std::uint8_t> body,
     // src(16) dst(16) iface(4) octets(8) packets(8) start(4); stride 56.
     constexpr std::size_t kStride = 56;
     const std::size_t n = body.size() / kStride;
-    out.reserve(out.size() + n);
+    out.reserve_more(n);
     const std::uint8_t* p = body.data();
     for (std::size_t i = 0; i < n; ++i, p += kStride) {
       out.push_back(

@@ -170,7 +170,7 @@ std::optional<std::size_t> decode_batch_swar(
   if (bytes.size() != kHeaderBytes + count * kRecordBytes) return std::nullopt;
   const auto ts = static_cast<util::Timestamp>(get32(bytes, 8));
 
-  out.reserve(out.size() + count);
+  out.reserve_more(count);
   const std::uint8_t* p = bytes.data() + kHeaderBytes;
   for (std::size_t i = 0; i < count; ++i, p += kRecordBytes) {
     // Record layout: src(4) dst(4) next_hop(4) input(2) output(2)

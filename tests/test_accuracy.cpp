@@ -19,6 +19,16 @@ class AccuracyTest : public ::testing::Test {
     universe_ = workload::build_universe(topo_, config);
   }
 
+  /// One-row table, built the way a published snapshot's is.
+  static core::LpmTable table_of(const Prefix& prefix,
+                                 const core::IngressId& ingress) {
+    core::RangeOutput row;
+    row.classified = true;
+    row.range = prefix;
+    row.ingress = ingress;
+    return core::LpmTable::from_snapshot({row});
+  }
+
   netflow::FlowRecord flow(const IpAddress& src, LinkId ingress,
                            util::Timestamp ts = 0) const {
     netflow::FlowRecord r;
@@ -53,8 +63,8 @@ TEST_F(AccuracyTest, OwnerIndexHandlesV6) {
 TEST_F(AccuracyTest, CheckFlowTaxonomy) {
   // Build a table mapping 10/8 to router 0 interface 0.
   // Note: routers 0..4 share PoP 0 in the skeleton (5 routers per pop).
-  core::LpmTable table;
-  table.insert(Prefix::from_string("10.0.0.0/8"), core::IngressId(LinkId{0, 0}));
+  const auto table =
+      table_of(Prefix::from_string("10.0.0.0/8"), core::IngressId(LinkId{0, 0}));
 
   const auto src = IpAddress::from_string("10.1.2.3");
   EXPECT_EQ(check_flow(topo_, table, flow(src, LinkId{0, 0})), Outcome::Correct);
@@ -72,8 +82,8 @@ TEST_F(AccuracyTest, CheckFlowTaxonomy) {
 }
 
 TEST_F(AccuracyTest, CheckFlowMatchesBundles) {
-  core::LpmTable table;
-  table.insert(Prefix::from_string("10.0.0.0/8"), core::IngressId(0, {0, 1}));
+  const auto table =
+      table_of(Prefix::from_string("10.0.0.0/8"), core::IngressId(0, {0, 1}));
   const auto src = IpAddress::from_string("10.1.2.3");
   EXPECT_EQ(check_flow(topo_, table, flow(src, LinkId{0, 0})), Outcome::Correct);
   EXPECT_EQ(check_flow(topo_, table, flow(src, LinkId{0, 1})), Outcome::Correct);
@@ -101,8 +111,7 @@ TEST_F(AccuracyTest, ValidationRunBinsAndSets) {
   const auto& top_as = universe_.ases()[top5[0]];
   const auto block = top_as.blocks_v4.front();
 
-  core::LpmTable table;
-  table.insert(block, core::IngressId(top_as.links.front()));
+  const auto table = table_of(block, core::IngressId(top_as.links.front()));
 
   // Bin 1: two correct flows from the top AS.
   run.observe(table, flow(block.address().offset(1), top_as.links.front(), 10));

@@ -218,6 +218,75 @@ TEST(Collector, ConcurrentSourcesStress) {
   EXPECT_GE(service.stats().snapshots_published, 1u);
 }
 
+TEST(Collector, LookupsDuringPublishes) {
+  // Lookup threads read through current_table() while the IPD thread
+  // publishes a table every minute of data time. Each reader holds the
+  // shared_ptr across its lookups, as the handles require.
+  CollectorConfig config;
+  config.stat_time.activity_threshold = 1;
+  config.snapshot_len = 60;
+  CollectorService service(tiny_params(), config, 1);
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<std::uint64_t> hits{0}, wrong{0}, tables_seen{0};
+  const std::vector<net::IpAddress> probes{
+      net::IpAddress::from_string("10.0.1.0"),
+      net::IpAddress::from_string("10.0.200.7"),
+      net::IpAddress::from_string("11.0.0.1"),
+      net::IpAddress::from_string("2a00::1")};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::shared_ptr<const core::LpmTable> seen;
+      bool first = true;
+      while (true) {
+        // One more full round after stop, so every reader also reads the
+        // final table.
+        const bool last_round = stop.load();
+        const auto table = service.current_table();
+        if (table != seen) {
+          tables_seen.fetch_add(1);
+          seen = table;
+        }
+        if (first) {
+          started.fetch_add(1);
+          first = false;
+        }
+        for (const auto& ip : probes) {
+          const auto hit = table->lookup(ip);
+          if (!hit) continue;
+          hits.fetch_add(1);
+          if (!hit->matches(topology::LinkId{5, 2}) || hit->ifaces.size() != 1) {
+            wrong.fetch_add(1);
+          }
+        }
+        if (last_round) break;
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  service.start();
+  for (int minute = 0; minute < 20; ++minute) {
+    const util::Timestamp ts = 4000000 + minute * 60;
+    const auto flows = make_flows(ts, 120, {5, 2}, 0x0A000000u);
+    std::size_t accepted = 0;
+    for (int attempt = 0; attempt < 1000 && accepted < flows.size(); ++attempt) {
+      accepted += service.submit_records(0, std::span(flows).subspan(accepted));
+      if (accepted < flows.size()) std::this_thread::yield();
+    }
+  }
+  service.stop();
+  stop.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GE(service.stats().snapshots_published, 10u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  // At least the empty initial table and the final one, per reader.
+  EXPECT_GE(tables_seen.load(), 2u * kReaders);
+}
+
 TEST(Collector, RejectsZeroSources) {
   EXPECT_THROW(CollectorService(tiny_params(), CollectorConfig{}, 0),
                std::invalid_argument);

@@ -7,6 +7,7 @@
 // outputs happen to match.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -230,6 +231,104 @@ TEST(DecodeDifferential, DispatchRespectsEnv) {
     ASSERT_TRUE(v5::decode_batch_scalar(bytes, 12, fixed).has_value());
   }
   ASSERT_TRUE(dispatched == fixed);
+}
+
+// Accumulating many datagrams into one batch must grow it geometrically:
+// every decoder's append and append_records change the batch's capacity
+// O(log records) times, not once per datagram.
+constexpr std::size_t kGrowthDatagrams = 10000;
+
+/// Calls `append(i, batch)` for i in [0, kGrowthDatagrams) on one batch and
+/// checks how often any column's capacity changed.
+template <typename Append>
+void expect_logarithmic_growth(Append append) {
+  FlowBatch batch;
+  std::size_t changes = 0;
+  std::uint64_t capacity_bytes = batch.memory_bytes();
+  for (std::size_t i = 0; i < kGrowthDatagrams; ++i) {
+    append(i, batch);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (batch.memory_bytes() != capacity_bytes) {
+      ++changes;
+      capacity_bytes = batch.memory_bytes();
+    }
+  }
+  ASSERT_GE(batch.size(), kGrowthDatagrams);
+  EXPECT_LE(changes, 2 * static_cast<std::size_t>(std::bit_width(batch.size())))
+      << batch.size() << " records";
+}
+
+TEST(FlowBatchGrowth, V5DatagramsGrowGeometrically) {
+  util::Rng rng(0x6207);
+  std::vector<std::vector<std::uint8_t>> packets;
+  for (int i = 0; i < 64; ++i) packets.push_back(v5::encode(random_v5_packet(rng)));
+  expect_logarithmic_growth([&](std::size_t i, FlowBatch& batch) {
+    ASSERT_TRUE(v5::decode_batch_swar(packets[i % packets.size()], 12, batch));
+  });
+  expect_logarithmic_growth([&](std::size_t i, FlowBatch& batch) {
+    ASSERT_TRUE(v5::decode_batch_scalar(packets[i % packets.size()], 12, batch));
+  });
+}
+
+/// IPFIX messages of one family, each carrying 1-30 records, through a
+/// SWAR-dispatching and a forced-scalar parser.
+void expect_ipfix_growth(bool v6) {
+  util::Rng rng(v6 ? 0x6206 : 0x6204);
+  for (const bool force_scalar : {false, true}) {
+    ipfix::Exporter exporter(/*observation_domain=*/7);
+    ipfix::Parser parser;
+    parser.set_force_scalar(force_scalar);
+    expect_logarithmic_growth([&](std::size_t i, FlowBatch& batch) {
+      auto flows = random_flows(rng, static_cast<std::size_t>(rng.range(1, 30)));
+      for (auto& f : flows) {
+        if (f.src_ip.is_v4() == v6) {
+          f.src_ip = v6 ? net::IpAddress::v6(rng(), rng())
+                        : net::IpAddress::v4(static_cast<std::uint32_t>(rng()));
+          f.dst_ip = f.src_ip;
+        }
+      }
+      for (const auto& msg : exporter.export_flows(
+               flows, static_cast<std::uint32_t>(1700000000 + i))) {
+        ASSERT_TRUE(parser.parse_batch(msg, /*exporter_router=*/9, batch));
+      }
+    });
+  }
+}
+
+TEST(FlowBatchGrowth, IpfixV4MessagesGrowGeometrically) { expect_ipfix_growth(false); }
+
+TEST(FlowBatchGrowth, IpfixV6MessagesGrowGeometrically) { expect_ipfix_growth(true); }
+
+TEST(FlowBatchGrowth, MixedIpfixMessageIsSizedExactly) {
+  // One message carrying an IPv4 and an IPv6 data set sizes a fresh batch
+  // once, for both sets: geometric growth must not double the first set's
+  // capacity when the second arrives.
+  util::Rng rng(0x6207);
+  ipfix::Exporter exporter(/*observation_domain=*/7);
+  ipfix::Parser parser;
+  // The first export carries the templates; the parser learns them here.
+  for (const auto& msg : exporter.export_flows(random_flows(rng, 4), 1700000000)) {
+    FlowBatch warm;
+    ASSERT_TRUE(parser.parse_batch(msg, 9, warm));
+  }
+  auto flows = random_flows(rng, 24);
+  flows[0].src_ip = flows[0].dst_ip = net::IpAddress::v4(1);
+  flows[1].src_ip = flows[1].dst_ip = net::IpAddress::v6(1, 1);
+  const auto msgs = exporter.export_flows(flows, 1700000001);
+  ASSERT_EQ(msgs.size(), 1u);
+  FlowBatch batch;
+  ASSERT_TRUE(parser.parse_batch(msgs[0], 9, batch));
+  ASSERT_EQ(batch.size(), flows.size());
+  EXPECT_EQ(batch.ts.capacity(), batch.size());
+  EXPECT_EQ(batch.src_ip.capacity(), batch.size());
+}
+
+TEST(FlowBatchGrowth, AppendRecordsGrowsGeometrically) {
+  util::Rng rng(0x6205);
+  const auto flows = random_flows(rng, 64);
+  expect_logarithmic_growth([&](std::size_t i, FlowBatch& batch) {
+    append_records(batch, std::span(flows).first(1 + i % 30));
+  });
 }
 
 }  // namespace

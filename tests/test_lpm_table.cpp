@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "net/lpm_trie.hpp"
+#include "util/rng.hpp"
+
 namespace ipd::core {
 namespace {
 
@@ -51,9 +57,8 @@ TEST(LpmTable, LookupEntryReturnsPrefix) {
 }
 
 TEST(LpmTable, HandlesBothFamilies) {
-  LpmTable table;
-  table.insert(Prefix::from_string("10.0.0.0/8"), IngressId(LinkId{1, 0}));
-  table.insert(Prefix::from_string("2a00::/32"), IngressId(LinkId{2, 0}));
+  const auto table = LpmTable::from_snapshot(
+      {make_row("10.0.0.0/8", LinkId{1, 0}), make_row("2a00::/32", LinkId{2, 0})});
   EXPECT_TRUE(table.lookup(IpAddress::from_string("10.0.0.1")).has_value());
   EXPECT_TRUE(table.lookup(IpAddress::from_string("2a00::1")).has_value());
   EXPECT_FALSE(table.lookup(IpAddress::from_string("2a01::1")).has_value());
@@ -76,8 +81,339 @@ TEST(LpmTable, EmptyTable) {
   const LpmTable table;
   EXPECT_EQ(table.size(), 0u);
   EXPECT_FALSE(table.lookup(IpAddress::from_string("1.1.1.1")).has_value());
+  EXPECT_FALSE(table.lookup(IpAddress::from_string("::1")));
   EXPECT_FALSE(table.lookup_entry(IpAddress::from_string("1.1.1.1")).has_value());
 }
+
+TEST(LpmTable, LookupReturnsHandleIntoTheTable) {
+  const auto table = LpmTable::from_snapshot({make_row("10.0.0.0/8", LinkId{1, 0})});
+  const auto a = table.lookup(IpAddress::from_string("10.0.0.1"));
+  const auto b = table.lookup(IpAddress::from_string("10.200.0.1"));
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(&*a, &*b);  // one row, no per-lookup copy
+  EXPECT_EQ(a->router, 1u);
+}
+
+// --- Table-driven edge cases ------------------------------------------------
+
+struct EdgeRow {
+  const char* prefix;
+  topology::RouterId router;
+  bool classified = true;
+};
+
+struct EdgeProbe {
+  const char* address;
+  const char* want_prefix;  // nullptr: unmapped
+  topology::RouterId want_router = 0;
+};
+
+struct EdgeCase {
+  const char* name;
+  std::vector<EdgeRow> rows;
+  std::size_t want_size;
+  std::vector<EdgeProbe> probes;
+};
+
+class LpmTableEdge : public ::testing::TestWithParam<EdgeCase> {};
+
+TEST_P(LpmTableEdge, ResolvesEveryProbe) {
+  const EdgeCase& c = GetParam();
+  Snapshot snapshot;
+  for (const EdgeRow& r : c.rows) {
+    snapshot.push_back(make_row(r.prefix, LinkId{r.router, 0}, r.classified));
+  }
+  const auto table = LpmTable::from_snapshot(snapshot);
+  EXPECT_EQ(table.size(), c.want_size);
+  for (const EdgeProbe& p : c.probes) {
+    SCOPED_TRACE(p.address);
+    const IpAddress ip = IpAddress::from_string(p.address);
+    const auto hit = table.lookup(ip);
+    const auto entry = table.lookup_entry(ip);
+    if (p.want_prefix == nullptr) {
+      EXPECT_FALSE(hit.has_value());
+      EXPECT_FALSE(entry.has_value());
+      continue;
+    }
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(hit->router, p.want_router);
+    EXPECT_EQ(entry->first, Prefix::from_string(p.want_prefix));
+    EXPECT_EQ(entry->second, *hit);
+  }
+}
+
+const char* const kV6Max = "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff";
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, LpmTableEdge,
+    ::testing::Values(
+        EdgeCase{"v4_default_route",
+                 {{"0.0.0.0/0", 1}},
+                 1,
+                 {{"0.0.0.0", "0.0.0.0/0", 1},
+                  {"128.0.0.0", "0.0.0.0/0", 1},
+                  {"255.255.255.255", "0.0.0.0/0", 1},
+                  {"::1", nullptr}}},
+        EdgeCase{"v6_default_route",
+                 {{"::/0", 2}},
+                 1,
+                 {{"::", "::/0", 2}, {kV6Max, "::/0", 2}, {"1.2.3.4", nullptr}}},
+        EdgeCase{"v4_host_route",
+                 {{"10.0.0.1/32", 3}},
+                 1,
+                 {{"10.0.0.1", "10.0.0.1/32", 3},
+                  {"10.0.0.0", nullptr},
+                  {"10.0.0.2", nullptr}}},
+        EdgeCase{"v6_host_route",
+                 {{"2001:db8::1/128", 4}},
+                 1,
+                 {{"2001:db8::1", "2001:db8::1/128", 4},
+                  {"2001:db8::", nullptr},
+                  {"2001:db8::2", nullptr}}},
+        EdgeCase{"v4_top_of_space",
+                 {{"255.255.255.255/32", 5},
+                  {"255.255.255.0/24", 6},
+                  {"255.0.0.0/8", 7}},
+                 3,
+                 {{"255.255.255.255", "255.255.255.255/32", 5},
+                  {"255.255.255.254", "255.255.255.0/24", 6},
+                  {"255.255.254.255", "255.0.0.0/8", 7},
+                  {"255.0.0.0", "255.0.0.0/8", 7},
+                  {"254.255.255.255", nullptr},
+                  {"0.0.0.0", nullptr}}},
+        EdgeCase{"v6_top_of_space",
+                 {{"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128", 5},
+                  {"ffff:ffff:ffff:ffff::/64", 6},
+                  {"ffff::/16", 7}},
+                 3,
+                 {{kV6Max, "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128", 5},
+                  {"ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe",
+                   "ffff:ffff:ffff:ffff::/64", 6},
+                  {"ffff:ffff:ffff:ffff::", "ffff:ffff:ffff:ffff::/64", 6},
+                  {"ffff:ffff:ffff:fffe:ffff:ffff:ffff:ffff", "ffff::/16", 7},
+                  {"fffe:ffff:ffff:ffff:ffff:ffff:ffff:ffff", nullptr},
+                  {"::", nullptr}}},
+        EdgeCase{"nested",
+                 {{"10.0.0.0/8", 1}, {"10.1.0.0/16", 2}, {"10.1.2.0/24", 3}},
+                 3,
+                 {{"10.1.2.3", "10.1.2.0/24", 3},
+                  {"10.1.2.255", "10.1.2.0/24", 3},
+                  {"10.1.3.0", "10.1.0.0/16", 2},
+                  {"10.1.1.255", "10.1.0.0/16", 2},
+                  {"10.2.0.0", "10.0.0.0/8", 1},
+                  {"10.255.255.255", "10.0.0.0/8", 1},
+                  {"11.0.0.0", nullptr},
+                  {"9.255.255.255", nullptr}}},
+        EdgeCase{"nested_sharing_first_and_last_address",
+                 {{"10.0.0.0/8", 1},
+                  {"10.0.0.0/16", 2},
+                  {"10.255.255.0/24", 3},
+                  {"10.255.255.255/32", 4}},
+                 4,
+                 {{"10.0.0.0", "10.0.0.0/16", 2},
+                  {"10.1.0.0", "10.0.0.0/8", 1},
+                  {"10.255.255.255", "10.255.255.255/32", 4},
+                  {"10.255.255.254", "10.255.255.0/24", 3},
+                  {"10.255.254.255", "10.0.0.0/8", 1},
+                  {"11.0.0.0", nullptr}}},
+        EdgeCase{"nested_v6",
+                 {{"2a00::/16", 1}, {"2a00:1::/32", 2}, {"2a00:1:0:5::/64", 3}},
+                 3,
+                 {{"2a00:1:0:5::9", "2a00:1:0:5::/64", 3},
+                  {"2a00:1:0:6::", "2a00:1::/32", 2},
+                  {"2a00:1:0:4:ffff:ffff:ffff:ffff", "2a00:1::/32", 2},
+                  {"2a00:2::", "2a00::/16", 1},
+                  {"2a01::", nullptr}}},
+        EdgeCase{"adjacent_distinct_ingress",
+                 {{"10.0.0.0/9", 1}, {"10.128.0.0/9", 2}},
+                 2,
+                 {{"10.127.255.255", "10.0.0.0/9", 1},
+                  {"10.128.0.0", "10.128.0.0/9", 2},
+                  {"11.0.0.0", nullptr}}},
+        EdgeCase{"adjacent_same_ingress_keep_their_prefixes",
+                 {{"10.0.0.0/9", 1}, {"10.128.0.0/9", 1}},
+                 2,
+                 {{"10.127.255.255", "10.0.0.0/9", 1},
+                  {"10.128.0.0", "10.128.0.0/9", 1}}},
+        EdgeCase{"duplicate_prefix_last_row_wins",
+                 {{"10.0.0.0/8", 1}, {"20.0.0.0/8", 9}, {"10.0.0.0/8", 2}},
+                 2,
+                 {{"10.1.1.1", "10.0.0.0/8", 2}, {"20.1.1.1", "20.0.0.0/8", 9}}},
+        EdgeCase{"duplicate_prefix_unclassified_last_row_skipped",
+                 {{"10.0.0.0/8", 1}, {"10.0.0.0/8", 2, false}},
+                 1,
+                 {{"10.1.1.1", "10.0.0.0/8", 1}}},
+        EdgeCase{"unclassified_rows_skipped",
+                 {{"20.0.0.0/8", 1, false}, {"2a00::/16", 2, false}},
+                 0,
+                 {{"20.1.1.1", nullptr}, {"2a00::1", nullptr}}},
+        EdgeCase{"empty", {}, 0, {{"0.0.0.0", nullptr}, {kV6Max, nullptr}}},
+        EdgeCase{"multicast_misses",
+                 {{"0.0.0.0/1", 1}, {"128.0.0.0/2", 2}, {"2000::/3", 3}},
+                 3,
+                 {{"224.0.0.1", nullptr},
+                  {"239.255.255.255", nullptr},
+                  {"191.255.255.255", "128.0.0.0/2", 2},
+                  {"ff02::1", nullptr},
+                  {"2001:db8::1", "2000::/3", 3}}},
+        EdgeCase{"many_intervals_in_one_slash16",
+                 {{"10.1.0.0/16", 1},
+                  {"10.1.0.16/28", 2},
+                  {"10.1.0.48/28", 3},
+                  {"10.1.7.0/24", 4},
+                  {"10.1.255.240/28", 5}},
+                 5,
+                 {{"10.1.0.0", "10.1.0.0/16", 1},
+                  {"10.1.0.16", "10.1.0.16/28", 2},
+                  {"10.1.0.31", "10.1.0.16/28", 2},
+                  {"10.1.0.32", "10.1.0.0/16", 1},
+                  {"10.1.0.50", "10.1.0.48/28", 3},
+                  {"10.1.7.7", "10.1.7.0/24", 4},
+                  {"10.1.255.239", "10.1.0.0/16", 1},
+                  {"10.1.255.255", "10.1.255.240/28", 5},
+                  {"10.2.0.0", nullptr},
+                  {"10.0.255.255", nullptr}}}),
+    [](const ::testing::TestParamInfo<EdgeCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- Differential against the LpmTrie oracle --------------------------------
+
+IpAddress random_address(util::Rng& rng, Family family) {
+  return family == Family::V4 ? IpAddress::v4(static_cast<std::uint32_t>(rng()))
+                              : IpAddress::v6(rng(), rng());
+}
+
+/// The address preceding `ip`, wrapping at the bottom of the space.
+IpAddress before(const IpAddress& ip) {
+  if (ip.is_v4()) return IpAddress::v4(ip.v4_value() - 1);
+  return IpAddress::v6(ip.lo() == 0 ? ip.hi() - 1 : ip.hi(), ip.lo() - 1);
+}
+
+/// A random prefix length, weighted towards the lengths IPD emits but
+/// covering /0 and the full width.
+int random_length(util::Rng& rng, Family family) {
+  const int width = net::family_width(family);
+  if (rng.below(50) == 0) return 0;
+  if (rng.below(10) == 0) return width;
+  return family == Family::V4 ? 8 + static_cast<int>(rng.below(21))
+                              : 16 + static_cast<int>(rng.below(49));
+}
+
+/// Prefixes that nest, abut and repeat: a fresh random prefix, a longer
+/// prefix inside an earlier one, the sibling of an earlier one, or an
+/// exact repeat.
+Prefix random_prefix(util::Rng& rng, Family family,
+                     const std::vector<Prefix>& earlier) {
+  const std::uint64_t dice = earlier.empty() ? 0 : rng.below(8);
+  if (dice <= 3) {
+    return Prefix(random_address(rng, family), random_length(rng, family));
+  }
+  const Prefix& base = earlier[rng.below(earlier.size())];
+  if (dice <= 5 && base.length() < base.width()) {
+    const int len = base.length() + 1 +
+                    static_cast<int>(rng.below(static_cast<std::uint64_t>(
+                        std::min(base.host_bits(), 24))));
+    // Keep base's network bits, randomize the rest.
+    const IpAddress r = random_address(rng, family);
+    IpAddress a = base.address();
+    for (int i = base.length(); i < len; ++i) a = a.with_bit(i, r.bit(i));
+    return Prefix(a, len);
+  }
+  if (dice == 6 && base.length() > 0) return base.sibling();
+  return base;
+}
+
+struct DiffParam {
+  std::uint64_t seed;
+  std::size_t rows;
+};
+
+class LpmTableDifferential : public ::testing::TestWithParam<DiffParam> {};
+
+TEST_P(LpmTableDifferential, MatchesTrieOracle) {
+  const DiffParam param = GetParam();
+  util::Rng rng(param.seed);
+  Snapshot snapshot;
+  net::LpmTrie<IngressId> oracle4(Family::V4);
+  net::LpmTrie<IngressId> oracle6(Family::V6);
+  std::vector<Prefix> prefixes[2];
+  for (std::size_t i = 0; i < param.rows; ++i) {
+    const Family family = rng.below(3) == 0 ? Family::V6 : Family::V4;
+    auto& earlier = prefixes[family == Family::V4 ? 0 : 1];
+    const Prefix prefix = random_prefix(rng, family, earlier);
+    earlier.push_back(prefix);
+    RangeOutput row;
+    row.classified = rng.below(5) != 0;
+    row.range = prefix;
+    row.ingress = IngressId(LinkId{static_cast<topology::RouterId>(i), 0});
+    snapshot.push_back(row);
+    // The oracle takes the classified rows in snapshot order, so a later
+    // duplicate overwrites an earlier one.
+    if (row.classified) {
+      (family == Family::V4 ? oracle4 : oracle6).insert(prefix, row.ingress);
+    }
+  }
+  const auto table = LpmTable::from_snapshot(snapshot);
+  ASSERT_EQ(table.size(), oracle4.size() + oracle6.size());
+
+  std::size_t queries = 0;
+  std::size_t hits = 0;
+  const auto check = [&](const IpAddress& ip) {
+    const auto& oracle = ip.is_v4() ? oracle4 : oracle6;
+    const auto want = oracle.lookup_entry(ip);
+    const auto got = table.lookup(ip);
+    ++queries;
+    ASSERT_EQ(got.has_value(), want.has_value()) << ip.to_string();
+    if (!want) return;
+    ++hits;
+    ASSERT_EQ(*got, *want->second) << ip.to_string();
+    const auto entry = table.lookup_entry(ip);
+    ASSERT_TRUE(entry.has_value()) << ip.to_string();
+    ASSERT_EQ(entry->first, want->first) << ip.to_string();
+  };
+  // Interval boundaries: each prefix's first and last address and the
+  // addresses just outside it.
+  for (const auto& family_prefixes : prefixes) {
+    for (const Prefix& p : family_prefixes) {
+      const IpAddress first = p.address();
+      IpAddress last = first;
+      for (int i = p.length(); i < p.width(); ++i) last = last.with_bit(i, true);
+      for (const IpAddress& ip : {first, last, before(first), last.offset(1)}) {
+        check(ip);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // Random addresses, half uniform and half inside a stored prefix.
+  constexpr std::size_t kRandomQueries = 160000;
+  for (std::size_t q = 0; q < kRandomQueries; ++q) {
+    const Family family = (q & 1) != 0 ? Family::V6 : Family::V4;
+    const auto& family_prefixes = prefixes[family == Family::V4 ? 0 : 1];
+    IpAddress ip = random_address(rng, family);
+    if ((q & 2) != 0 && !family_prefixes.empty()) {
+      const Prefix& p = family_prefixes[rng.below(family_prefixes.size())];
+      for (int i = 0; i < p.length(); ++i) ip = ip.with_bit(i, p.address().bit(i));
+    }
+    check(ip);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(hits, queries / 4);  // the prefix-guided half mostly hits
+}
+
+// Eight seeds of 160k random queries plus the boundary probes: over 1.3M
+// queries across both families.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LpmTableDifferential,
+    ::testing::Values(DiffParam{1, 50}, DiffParam{2, 300}, DiffParam{3, 2000},
+                      DiffParam{4, 2000}, DiffParam{5, 6000},
+                      DiffParam{6, 6000}, DiffParam{7, 12000},
+                      DiffParam{8, 20000}),
+    [](const ::testing::TestParamInfo<DiffParam>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_rows" +
+             std::to_string(info.param.rows);
+    });
 
 }  // namespace
 }  // namespace ipd::core

@@ -94,8 +94,8 @@ TEST(MonotonicTracker, ElephantSelectionByPeakCount) {
 
 TEST(CompareSnapshots, FullyStable) {
   Snapshot t1{row(0, "10.0.0.0/16", LinkId{1, 0})};
-  core::LpmTable t2;
-  t2.insert(Prefix::from_string("10.0.0.0/16"), IngressId(LinkId{1, 0}));
+  const auto t2 =
+      core::LpmTable::from_snapshot({row(0, "10.0.0.0/16", LinkId{1, 0})});
   const auto share = compare_snapshots(t1, t2);
   EXPECT_DOUBLE_EQ(share.matching, 1.0);
   EXPECT_DOUBLE_EQ(share.stable, 1.0);
@@ -103,8 +103,8 @@ TEST(CompareSnapshots, FullyStable) {
 
 TEST(CompareSnapshots, MatchingButUnstable) {
   Snapshot t1{row(0, "10.0.0.0/16", LinkId{1, 0})};
-  core::LpmTable t2;
-  t2.insert(Prefix::from_string("10.0.0.0/16"), IngressId(LinkId{9, 0}));
+  const auto t2 =
+      core::LpmTable::from_snapshot({row(0, "10.0.0.0/16", LinkId{9, 0})});
   const auto share = compare_snapshots(t1, t2);
   EXPECT_DOUBLE_EQ(share.matching, 1.0);
   EXPECT_DOUBLE_EQ(share.stable, 0.0);
@@ -113,8 +113,8 @@ TEST(CompareSnapshots, MatchingButUnstable) {
 TEST(CompareSnapshots, PartialCoverage) {
   // t1 maps a /16; t2 only keeps one half of it (as a /17).
   Snapshot t1{row(0, "10.0.0.0/16", LinkId{1, 0})};
-  core::LpmTable t2;
-  t2.insert(Prefix::from_string("10.0.0.0/17"), IngressId(LinkId{1, 0}));
+  const auto t2 =
+      core::LpmTable::from_snapshot({row(0, "10.0.0.0/17", LinkId{1, 0})});
   const auto share = compare_snapshots(t1, t2, /*samples_per_range=*/8);
   EXPECT_NEAR(share.matching, 0.5, 0.13);
   EXPECT_NEAR(share.stable, 0.5, 0.13);
@@ -125,8 +125,8 @@ TEST(CompareSnapshots, WeightsByAddressCount) {
   // by the large range.
   Snapshot t1{row(0, "10.0.0.0/8", LinkId{1, 0}),
               row(0, "20.0.0.0/24", LinkId{2, 0})};
-  core::LpmTable t2;
-  t2.insert(Prefix::from_string("10.0.0.0/8"), IngressId(LinkId{1, 0}));
+  const auto t2 =
+      core::LpmTable::from_snapshot({row(0, "10.0.0.0/8", LinkId{1, 0})});
   const auto share = compare_snapshots(t1, t2);
   EXPECT_GT(share.stable, 0.99);
 }
