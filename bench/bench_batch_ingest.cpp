@@ -84,9 +84,10 @@ constexpr int kWarmMinutes = 8;
 void warm(core::IpdEngine& engine, std::size_t fpm) {
   for (int minute = 0; minute < kWarmMinutes; ++minute) {
     const util::Timestamp ts = kT0 + minute * 60;
-    const auto trace =
-        make_slice(ts, fpm, static_cast<std::uint64_t>(minute) + 1);
-    engine.ingest_batch(trace);
+    netflow::FlowBatch batch;
+    netflow::append_records(
+        batch, make_slice(ts, fpm, static_cast<std::uint64_t>(minute) + 1));
+    engine.apply_batch(batch);
     engine.run_cycle(ts + 60);
   }
 }

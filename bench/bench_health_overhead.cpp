@@ -61,7 +61,7 @@ int main() {
     engine.ingest(r);
     ++records;
   });
-  engine.metrics()->flush_ingest();
+  engine.flush_ingest_metrics();
 
   // --- TSDB ingest: one call per 5-minute snapshot. -----------------------
   obs::TimeSeriesStore store;

@@ -4,8 +4,8 @@
 // (§5.7); the sharded engine brings that parallelism into one process by
 // cutting each family's trie at the top shard_bits levels and fanning
 // batches / cycle passes out across a worker pool. This bench measures
-//   * stage-1 throughput: batched ingest through the sequential IpdEngine
-//     vs ShardedEngine(k=4) at 1/2/4/8 worker threads, and
+//   * stage-1 throughput: apply_batch through the one-shard (sequential)
+//     engine vs k=4 shards at 1/2/4/8 worker threads, and
 //   * stage-2 cycle latency: run_cycle on the same warmed partition,
 //     sequential vs 8 threads.
 // The acceptance claim — >= 3x stage-1 ingest at 8 threads — only has
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
+#include "netflow/flow_batch.hpp"
 #include "util/strings.hpp"
 
 using namespace ipd;
@@ -32,7 +32,7 @@ using namespace ipd;
 namespace {
 
 constexpr int kShardBits = 4;
-constexpr std::size_t kChunk = 4096;  // records per ingest_batch call
+constexpr std::size_t kChunk = 4096;  // records per apply_batch call
 constexpr util::Timestamp kT0 = bench::kDay1 + 20 * util::kSecondsPerHour;
 
 std::uint64_t lcg(std::uint64_t& state) {
@@ -85,22 +85,32 @@ constexpr int kWarmMinutes = 8;
 /// Warm-up minutes with a cycle after each: the split cascade refines one
 /// level per cycle, so eight cycles take the trie past the /4 blocks and
 /// classifies them — measurement then hits the steady-state path.
-void warm(core::EngineBase& engine, std::size_t fpm) {
+void warm(core::IpdEngine& engine, std::size_t fpm) {
   for (int minute = 0; minute < kWarmMinutes; ++minute) {
     const util::Timestamp ts = kT0 + minute * 60;
-    const auto trace =
-        make_minute(ts, fpm, static_cast<std::uint64_t>(minute) + 1);
-    engine.ingest_batch(trace);
+    netflow::FlowBatch batch;
+    netflow::append_records(
+        batch, make_minute(ts, fpm, static_cast<std::uint64_t>(minute) + 1));
+    engine.apply_batch(batch);
     engine.run_cycle(ts + 60);
   }
 }
 
-void ingest_chunked(core::EngineBase& engine,
-                    const std::vector<netflow::FlowRecord>& slice) {
+/// `slice` cut into kChunk-record SoA batches (built outside the timing).
+std::vector<netflow::FlowBatch> chunked(
+    const std::vector<netflow::FlowRecord>& slice) {
+  std::vector<netflow::FlowBatch> out;
   for (std::size_t at = 0; at < slice.size(); at += kChunk) {
-    engine.ingest_batch(
+    netflow::append_records(
+        out.emplace_back(),
         std::span(slice).subspan(at, std::min(kChunk, slice.size() - at)));
   }
+  return out;
+}
+
+void ingest_chunked(core::IpdEngine& engine,
+                    const std::vector<netflow::FlowBatch>& batches) {
+  for (const netflow::FlowBatch& batch : batches) engine.apply_batch(batch);
 }
 
 /// Stage-1 flows/s: `passes` chunked-batch passes over `slice` on a fresh,
@@ -109,13 +119,14 @@ template <typename MakeEngine>
 double measure_stage1(MakeEngine&& make_engine, std::size_t fpm,
                       const std::vector<netflow::FlowRecord>& slice,
                       int rounds, int passes) {
+  const std::vector<netflow::FlowBatch> batches = chunked(slice);
   double best = 0.0;
   for (int round = 0; round < rounds; ++round) {
     auto engine = make_engine();
     warm(*engine, fpm);
-    ingest_chunked(*engine, slice);  // warm pass, untimed
+    ingest_chunked(*engine, batches);  // warm pass, untimed
     const auto t0 = std::chrono::steady_clock::now();
-    for (int p = 0; p < passes; ++p) ingest_chunked(*engine, slice);
+    for (int p = 0; p < passes; ++p) ingest_chunked(*engine, batches);
     const double s = std::chrono::duration_cast<std::chrono::duration<double>>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -139,7 +150,7 @@ double measure_stage2(MakeEngine&& make_engine, std::size_t fpm, int rounds,
     double total = 0.0;
     for (int c = 0; c < cycles; ++c) {
       const util::Timestamp ts = kT0 + (kWarmMinutes + c) * 60;
-      ingest_chunked(*engine, make_minute(ts, fpm, 100 + c));
+      ingest_chunked(*engine, chunked(make_minute(ts, fpm, 100 + c)));
       const auto t0 = std::chrono::steady_clock::now();
       engine->run_cycle(ts + 60);
       total += std::chrono::duration_cast<std::chrono::duration<double>>(
@@ -171,10 +182,10 @@ int main() {
   };
   const auto make_sharded = [fpm](int threads) {
     return [threads, fpm] {
-      core::ShardedEngineConfig config;
+      core::EngineConfig config;
       config.shard_bits = kShardBits;
       config.ingest_threads = threads;
-      return std::make_unique<core::ShardedEngine>(bench_params(fpm), config);
+      return std::make_unique<core::IpdEngine>(bench_params(fpm), config);
     };
   };
 
@@ -209,7 +220,7 @@ int main() {
               units);
   std::printf("stage-1 batch ingest (best of %d rounds, %d passes, %zu-record chunks):\n",
               rounds, passes, kChunk);
-  std::printf("  sequential IpdEngine      %12.0f flows/s\n", sequential);
+  std::printf("  one shard                 %12.0f flows/s\n", sequential);
   std::string sharded_json;
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const double speedup = sequential > 0.0 ? rates[i] / sequential : 0.0;
@@ -222,7 +233,7 @@ int main() {
   }
   std::printf("stage-2 cycle (mean of 5 cycles, best of %d rounds):\n",
               rounds);
-  std::printf("  sequential IpdEngine      %12.3f ms\n", cycle_seq);
+  std::printf("  one shard                 %12.3f ms\n", cycle_seq);
   std::printf("  sharded k=%d, 8 threads    %12.3f ms\n", kShardBits,
               cycle_sharded);
   bench::print_result("stage-1 speedup @ 8 threads",

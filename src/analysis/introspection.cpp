@@ -9,7 +9,7 @@
 #include "analysis/health.hpp"
 #include "core/decision_log.hpp"
 #include "core/output.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/engine.hpp"
 #include "obs/cpu_profiler.hpp"
 #include "obs/export.hpp"
 #include "obs/perf_counters.hpp"
@@ -669,15 +669,13 @@ obs::HttpResponse IntrospectionServer::handle_locks(
 }
 
 obs::HttpResponse IntrospectionServer::handle_shards(const obs::HttpRequest&) {
-  const auto* sharded = dynamic_cast<const core::ShardedEngine*>(&engine_);
-  if (sharded == nullptr) return not_attached("sharded engine");
-  // shards_json() takes the engine's internal publish lock; the engine
-  // mutex on top keeps the cut/load view consistent with the other
-  // engine-reading handlers.
+  // shards_json() takes the engine's structure lock; the engine mutex on
+  // top keeps the cut/load view consistent with the other engine-reading
+  // handlers.
   std::string body;
   {
     const std::lock_guard<obs::InstrumentedMutex> lock(engine_mutex_);
-    body = sharded->shards_json();
+    body = engine_.shards_json();
   }
   return obs::HttpResponse::json(std::move(body));
 }

@@ -1,7 +1,7 @@
 // Live introspection endpoints over a running engine.
 //
-// Binds the embedded HTTP server (obs::HttpServer) to one engine (core::EngineBase) and
-// its attached observability surfaces:
+// Binds the embedded HTTP server (obs::HttpServer) to one engine
+// (core::IpdEngine) and its attached observability surfaces:
 //
 //   GET /            endpoint index (JSON)
 //   GET /healthz     liveness + basic engine counters
@@ -23,7 +23,7 @@
 //   GET /locks       ?limit=&format=json|text — per-site lock contention
 //                    (wait/hold p50/p99/max, contention ratio)
 //   GET /shards      stage-2 cut + per-shard flow load / imbalance ratio
-//                    (503 unless the engine is a core::ShardedEngine)
+//                    (shard_count 1 on a one-shard engine)
 //   GET /snapshot    warm-restart snapshot state: last save/restore,
 //                    bytes, data-time age, configured path
 //

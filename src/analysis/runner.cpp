@@ -1,5 +1,6 @@
 #include "analysis/runner.hpp"
 
+#include "core/engine.hpp"
 #include "obs/flow_trace.hpp"
 
 namespace ipd::analysis {

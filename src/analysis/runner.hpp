@@ -1,19 +1,18 @@
 // Binned engine runner: the deployment loop in reusable form.
 //
-// Streams flow records into an engine (sequential IpdEngine or parallel
-// ShardedEngine — anything implementing core::EngineBase), fires stage-2
-// cycles every `t` seconds of simulated time, and every `snapshot_len`
-// (default 5 min, the deployment's output cadence) takes a snapshot,
-// rebuilds the LPM table and validates the just-finished bin's flows
-// against it — exactly the validation methodology of §5.1.
+// Streams flow records into a core::IpdEngine (any shard count), fires
+// stage-2 cycles every `t` seconds of simulated time, and every
+// `snapshot_len` (default 5 min, the deployment's output cadence) takes a
+// snapshot, rebuilds the LPM table and validates the just-finished bin's
+// flows against it — exactly the validation methodology of §5.1.
 //
 // Ingest is micro-batched: records accumulate in a pending SoA FlowBatch
 // and are handed to the engine via apply_batch() in arrival order, flushed
 // whenever a record would cross a cycle/snapshot boundary (so every cycle
 // still observes exactly the records that precede it — byte-identical to
-// unbatched operation) or the buffer fills. This is what lets the
-// sequential engine interleave its trie descents and the sharded engine
-// amortize its per-shard locking to once per shard per batch.
+// unbatched operation) or the buffer fills. This is what lets the engine
+// interleave its trie descents and amortize its per-shard locking to once
+// per shard per batch.
 //
 // When the engine has a metrics registry attached, the runner fires the
 // `on_metrics` hook once per bin (right after `on_snapshot`), so callers

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <string>
 
-#include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "obs/build_info.hpp"
 #include "obs/flow_trace.hpp"
 #include "obs/perf_counters.hpp"
@@ -14,16 +12,13 @@
 
 namespace {
 
-std::unique_ptr<ipd::core::EngineBase> make_engine(
-    const ipd::core::IpdParams& params, const ipd::collector::CollectorConfig& config) {
-  if (config.shard_bits < 0) {
-    return std::make_unique<ipd::core::IpdEngine>(params);
-  }
-  ipd::core::ShardedEngineConfig sharded;
-  sharded.shard_bits = config.shard_bits;
-  sharded.ingest_threads = config.ingest_threads;
-  sharded.rebalance_cut = config.rebalance_cut;
-  return std::make_unique<ipd::core::ShardedEngine>(params, sharded);
+ipd::core::EngineConfig engine_config(
+    const ipd::collector::CollectorConfig& config) {
+  ipd::core::EngineConfig engine;
+  engine.shard_bits = std::max(config.shard_bits, 0);
+  engine.ingest_threads = config.ingest_threads;
+  engine.rebalance_cut = config.rebalance_cut;
+  return engine;
 }
 
 }  // namespace
@@ -34,7 +29,7 @@ CollectorService::CollectorService(core::IpdParams params,
                                    CollectorConfig config,
                                    std::size_t n_sources)
     : config_(config),
-      engine_(make_engine(params, config)),
+      engine_(params, engine_config(config)),
       // Count-constructed in place: SourceMetrics holds atomics (LogSite)
       // and is therefore not movable, which rules out resize().
       source_metrics_(n_sources) {
@@ -53,7 +48,7 @@ CollectorService::CollectorService(core::IpdParams params,
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *config_.metrics;
     obs::register_build_info(registry);
-    engine_->attach_metrics(registry);
+    engine_.attach_metrics(registry);
     for (std::size_t i = 0; i < n_sources; ++i) {
       const obs::Labels source{{"source", std::to_string(i)}};
       source_metrics_[i].ring_depth = &registry.gauge(
@@ -86,7 +81,7 @@ CollectorService::CollectorService(core::IpdParams params,
         "minus the data time of the last published LPM table");
   }
   if (config_.perf != nullptr) {
-    engine_->attach_perf(*config_.perf);
+    engine_.attach_perf(*config_.perf);
     perf_drain_phase_ = config_.perf->phase("collector.drain");
   }
   if (config_.watchdog != nullptr) {
@@ -96,7 +91,7 @@ CollectorService::CollectorService(core::IpdParams params,
                                                      config_.cycle_budget_ms);
   }
   if (config_.flow_trace != nullptr) {
-    engine_->attach_flow_trace(*config_.flow_trace);
+    engine_.attach_flow_trace(*config_.flow_trace);
     if (config_.metrics != nullptr) {
       config_.flow_trace->bind_metrics(config_.metrics);
     }
@@ -115,8 +110,8 @@ CollectorService::CollectorService(core::IpdParams params,
         engine_pending_.push_back(record);
         // Advance the data clock: stage 2 runs on data time, not wall time.
         if (!clock_started_) {
-          next_cycle_ = util::bucket_start(record.ts, engine_->params().t) +
-                        engine_->params().t;
+          next_cycle_ = util::bucket_start(record.ts, engine_.params().t) +
+                        engine_.params().t;
           next_snapshot_ =
               util::bucket_start(record.ts, config_.snapshot_len) +
               config_.snapshot_len;
@@ -127,8 +122,8 @@ CollectorService::CollectorService(core::IpdParams params,
           while (record.ts >= next_cycle_) {
             const obs::WatchdogScope cycle_scope(config_.watchdog,
                                                  wd_cycle_task_);
-            engine_->run_cycle(next_cycle_);
-            next_cycle_ += engine_->params().t;
+            engine_.run_cycle(next_cycle_);
+            next_cycle_ += engine_.params().t;
           }
           while (record.ts >= next_snapshot_) {
             publish(next_snapshot_);
@@ -215,7 +210,7 @@ std::size_t CollectorService::enqueue_batch(std::size_t source,
     if (batch.ts[k] > newest) newest = batch.ts[k];
     if (tracer != nullptr) {
       const net::IpAddress masked = batch.src_ip[k].masked(
-          engine_->params().cidr_max(batch.src_ip[k].family()));
+          engine_.params().cidr_max(batch.src_ip[k].family()));
       const std::uint64_t flow_id =
           tracer->observe(obs::FlowHopKind::Decode, batch.ts[k], masked,
                           batch.ingress[k], source_detail);
@@ -292,7 +287,7 @@ void CollectorService::stop() {
 
 void CollectorService::flush_engine_pending() {
   if (engine_pending_.empty()) return;
-  engine_->apply_batch(engine_pending_);
+  engine_.apply_batch(engine_pending_);
   engine_pending_.clear();
 }
 
@@ -322,7 +317,7 @@ bool CollectorService::drain_once() {
       for (std::size_t k = 0; k < batch.size(); ++k) {
         if (obs::FlowTracer* tracer = config_.flow_trace) {
           tracer->observe(obs::FlowHopKind::RingDequeue, batch.ts[k],
-                          batch.src_ip[k].masked(engine_->params().cidr_max(
+                          batch.src_ip[k].masked(engine_.params().cidr_max(
                               batch.src_ip[k].family())),
                           batch.ingress[k], static_cast<std::uint32_t>(i));
         }
@@ -386,7 +381,7 @@ void CollectorService::ipd_loop() {
 }
 
 void CollectorService::publish(util::Timestamp ts) {
-  auto snapshot = core::take_snapshot(*engine_, ts);
+  auto snapshot = core::take_snapshot(engine_, ts);
   auto table = std::make_shared<const core::LpmTable>(
       core::LpmTable::from_snapshot(snapshot));
   {
@@ -426,8 +421,8 @@ CollectorStats CollectorService::stats() const {
   stats.datagrams_malformed = datagrams_malformed_.load();
   stats.flows_enqueued = flows_enqueued_.load();
   stats.flows_dropped_ring = flows_dropped_.load();
-  stats.flows_ingested = engine_->stats().flows_ingested;
-  stats.cycles_run = engine_->stats().cycles_run;
+  stats.flows_ingested = engine_.stats().flows_ingested;
+  stats.cycles_run = engine_.stats().cycles_run;
   stats.snapshots_published = snapshots_.load();
   return stats;
 }

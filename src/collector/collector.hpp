@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "collector/spsc_ring.hpp"
-#include "core/engine_base.hpp"
+#include "core/engine.hpp"
 #include "core/lpm_table.hpp"
 #include "core/output.hpp"
 #include "netflow/flow_batch.hpp"
@@ -79,13 +79,12 @@ struct CollectorConfig {
   obs::Watchdog* watchdog = nullptr;
   std::int64_t drain_budget_ms = 30000;
   std::int64_t cycle_budget_ms = 120000;
-  // Engine selection: shard_bits < 0 runs the sequential IpdEngine;
-  // >= 0 runs a core::ShardedEngine with 2^shard_bits shards per family
-  // and `ingest_threads` stage-1/stage-2 workers.
+  // Engine shape: 2^shard_bits shards per family (negative means one
+  // shard, the same as 0) and `ingest_threads` stage-1/stage-2 workers.
   int shard_bits = -1;
   int ingest_threads = 1;
-  // Load-aware stage-2 cut rebalancing (sharded engine only; see
-  // ShardedEngineConfig::rebalance_cut — never affects engine output).
+  // Load-aware stage-2 cut rebalancing (see EngineConfig::rebalance_cut —
+  // never affects engine output).
   bool rebalance_cut = false;
   // Records buffered on the IPD thread before an apply_batch() handoff.
   // Boundaries always flush first, so cycle semantics are unchanged.
@@ -150,7 +149,7 @@ class CollectorService {
   /// dashboards, not for synchronization.
   CollectorStats stats() const;
 
-  const core::EngineBase& engine() const noexcept { return *engine_; }
+  const core::IpdEngine& engine() const noexcept { return engine_; }
 
   /// Pipeline freshness in data-time seconds: newest decoded flow
   /// timestamp minus the data time of the last published table (0 before
@@ -192,7 +191,7 @@ class CollectorService {
   void update_ring_gauges();
 
   CollectorConfig config_;
-  std::unique_ptr<core::EngineBase> engine_;
+  core::IpdEngine engine_;
   netflow::FlowBatch engine_pending_;  // batched ingest buffer (SoA)
   std::vector<std::unique_ptr<SpscRing<TimedBatch>>> rings_;
   std::vector<SourceMetrics> source_metrics_;

@@ -1,12 +1,13 @@
-// Stage-2 cycle logic, factored out of the engines.
+// Stage-2 cycle logic, factored out of the engine.
 //
 // One cycle over one trie is a pure function of (trie state, params, now):
 // the post-order walk that expires/decays, classifies, splits, drops,
-// joins and compacts exactly as Algorithm 1 describes. Both IpdEngine
-// (whole-family tries) and ShardedEngine (per-shard subtrees plus a spine
-// merge pass) call the same functions, which is what makes the
-// determinism-differential test meaningful: there is a single copy of the
-// decision logic, applied to identical per-node operation sequences.
+// joins and compacts exactly as Algorithm 1 describes. IpdEngine runs it
+// over a whole family's trie when the cut is the root (one shard), and
+// otherwise over each cut member's subtree followed by a spine merge
+// pass; either way there is a single copy of the decision logic, applied
+// to identical per-node operation sequences, which is what makes the
+// determinism differentials meaningful.
 #pragma once
 
 #include <optional>
@@ -31,9 +32,9 @@ struct PhaseAccum {
   std::array<obs::PerfPoint, kNumCyclePhases> perf{};
 };
 
-/// Optional decision/transition sinks for one cycle pass. The sharded
-/// engine points these at per-shard buffers during the parallel section
-/// and drains them into the globally attached logs in shard order.
+/// Optional decision/transition sinks for one cycle pass. Above a wider
+/// cut the engine points these at per-member buffers during the parallel
+/// section and drains them into the globally attached logs in cut order.
 struct CycleSinks {
   DecisionLog* decision_log = nullptr;
   CycleDeltaLog* cycle_deltas = nullptr;
@@ -47,7 +48,7 @@ std::optional<IngressId> find_prevalent(const IpdParams& params,
 
 /// The join/compact step for one Internal node whose children are already
 /// final for this cycle. Used by cycle_over_trie on every internal node
-/// and by the sharded engine's cross-shard merge on spine nodes.
+/// and by the engine's cross-member merge on spine nodes.
 void join_or_compact(IpdTrie& trie, RangeNode& node, const IpdParams& params,
                      util::Timestamp now, CycleStats& out, PhaseAccum& phases,
                      const CycleSinks& sinks);
@@ -60,9 +61,9 @@ void cycle_over_trie(IpdTrie& trie, const IpdParams& params,
                      const CycleSinks& sinks);
 
 /// The same pass restricted to the subtree rooted at `node`. All structural
-/// mutation stays inside the subtree, so the sharded engine runs this
-/// concurrently on the disjoint subtrees of its cut and follows up with
-/// join_or_compact over the spine above them.
+/// mutation stays inside the subtree, so the engine runs this concurrently
+/// on the disjoint subtrees of its cut and follows up with join_or_compact
+/// over the spine above them.
 void cycle_over_subtree(IpdTrie& trie, RangeNode& node, const IpdParams& params,
                         util::Timestamp now, CycleStats& out,
                         PhaseAccum& phases, const CycleSinks& sinks);

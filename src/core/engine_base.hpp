@@ -1,13 +1,12 @@
-// Common engine surface shared by the sequential IpdEngine and the
-// parallel ShardedEngine.
+// Value types of the IPD engine: the stage-2 phase enum, per-cycle and
+// lifetime counters, and the range-transition sink.
 //
-// Everything downstream of stage 1/2 — the binned runner, the snapshot
-// writer, the introspection server, the collector — programs against this
-// interface so the two engines are drop-in interchangeable (ipd_replay
-// selects one with --shards / --ingest-threads). The per-cycle and
-// lifetime counter types live here too, so both implementations report
-// through identical structures and the determinism-differential tests can
-// compare them field by field.
+// They live apart from core/engine.hpp so the stage-2 cycle logic
+// (core/cycle_logic.hpp), which the engine itself includes, can report
+// through them, and so headers of the layers above the engine — the binned
+// runner, the snapshot writer, the introspection server — can name the
+// engine without its full definition. The determinism-differential tests
+// compare these structures field by field across shard counts.
 #pragma once
 
 #include <algorithm>
@@ -120,135 +119,11 @@ struct EngineStats {
   std::uint64_t total_drops = 0;
 };
 
-class EngineMetrics;
-
-/// Abstract engine: Algorithm 1 behind a uniform surface.
-///
-/// Thread-safety is implementation-defined: IpdEngine is single-threaded
-/// (callers serialize externally, e.g. ipd_replay's engine mutex), while
-/// ShardedEngine synchronizes ingest/run_cycle/for_each_leaf internally.
-/// References returned by locate() are only stable while the caller keeps
-/// the engine quiescent (no run_cycle), which the introspection server
-/// guarantees via the shared engine mutex.
-class EngineBase {
- public:
-  virtual ~EngineBase() = default;
-
-  virtual const IpdParams& params() const noexcept = 0;
-
-  /// Stage 1: add one sample of `weight` (1 flow, or its byte count when
-  /// count_mode is Bytes). Hot path.
-  virtual void ingest(util::Timestamp ts, const net::IpAddress& src_ip,
-                      topology::LinkId ingress,
-                      std::uint64_t weight = 1) noexcept = 0;
-
-  void ingest(const netflow::FlowRecord& record) noexcept {
-    ingest(record.ts, record.src_ip, record.ingress,
-           params().count_mode == CountMode::Bytes
-               ? std::max<std::uint64_t>(record.bytes, 1)
-               : 1);
-  }
-
-  /// Stage 1, amortized: ingest a batch of records in order. The sharded
-  /// engine buckets the batch per shard and fans it out to worker threads;
-  /// the default keeps the exact sequential per-record order.
-  virtual void ingest_batch(
-      std::span<const netflow::FlowRecord> records) noexcept {
-    for (const auto& record : records) ingest(record);
-  }
-
-  /// Stage 1 from a structure-of-arrays batch — the decode path's native
-  /// currency. Effect is defined to be byte-identical to ingesting the
-  /// batch's rows one at a time in order (`ingest(batch.record(i))` for
-  /// i = 0..n-1), which is what this default does. IpdEngine overrides
-  /// with interleaved prefetched trie descents; ShardedEngine buckets the
-  /// whole batch per cut member before fanning out.
-  virtual void apply_batch(const netflow::FlowBatch& batch) noexcept {
-    const bool bytes_mode = params().count_mode == CountMode::Bytes;
-    const std::size_t n = batch.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      ingest(batch.ts[i], batch.src_ip[i], batch.ingress[i],
-             bytes_mode ? std::max<std::uint64_t>(batch.bytes[i], 1) : 1);
-    }
-  }
-
-  /// Stage 2: one classification cycle at simulated time `now`.
-  virtual CycleStats run_cycle(util::Timestamp now) = 0;
-
-  virtual EngineStats stats() const noexcept = 0;
-
-  /// Visit every leaf of one family's partition, in address order (the
-  /// order snapshots are written in — identical across implementations).
-  virtual void for_each_leaf(
-      net::Family family,
-      const std::function<void(const RangeNode&)>& fn) const = 0;
-
-  /// The leaf range currently covering `ip` (/explain routing).
-  virtual const RangeNode& locate(const net::IpAddress& ip) const = 0;
-
-  /// Export metrics into `registry` from now on (replaces any previous
-  /// attachment). The registry must outlive the engine.
-  virtual void attach_metrics(obs::MetricsRegistry& registry) = 0;
-  virtual obs::MetricsRegistry* metrics_registry() const noexcept = 0;
-  virtual EngineMetrics* metrics() noexcept = 0;
-
-  /// Publish any buffered stage-1 metric deltas into the registry (called
-  /// ad hoc before scraping; run_cycle flushes too).
-  virtual void flush_ingest_metrics() = 0;
-
-  /// Record every stage-2 structural decision into `log` from now on (the
-  /// log must outlive the engine; detach by attaching a different log or
-  /// destroying the engine first).
-  virtual void attach_decision_log(DecisionLog& log) noexcept = 0;
-  virtual DecisionLog* decision_log() const noexcept = 0;
-
-  /// Emit per-cycle/per-phase spans into `tracer` from now on (same
-  /// lifetime contract as the decision log).
-  virtual void attach_tracer(obs::Tracer& tracer) noexcept = 0;
-  virtual obs::Tracer* tracer() const noexcept = 0;
-
-  /// Append every stage-2 demotion/classification transition into `log`
-  /// from now on (same lifetime contract as the decision log).
-  virtual void attach_cycle_deltas(CycleDeltaLog& log) noexcept = 0;
-  virtual CycleDeltaLog* cycle_deltas() const noexcept = 0;
-
-  /// Charge stage-1 batches and stage-2 cycles to `perf` phases from now
-  /// on (same lifetime contract as the decision log). Unlike the other
-  /// attach_* hooks this one is implemented here — both engines share the
-  /// pointer — with a virtual hook for caching phase ids.
-  void attach_perf(obs::PerfCounters& perf) noexcept {
-    perf_ = &perf;
-    on_attach_perf();
-  }
-  obs::PerfCounters* perf() const noexcept { return perf_; }
-
-  /// Record stage-1 provenance hops (shard routing, trie apply) for
-  /// hash-sampled flows into `tracer` from now on (same lifetime contract
-  /// as the decision log). Shared-pointer pattern as attach_perf.
-  void attach_flow_trace(obs::FlowTracer& tracer) noexcept {
-    flow_trace_ = &tracer;
-  }
-  obs::FlowTracer* flow_trace() const noexcept { return flow_trace_; }
-
-  /// When set, the engine also records a Decode hop for sampled flows as
-  /// they enter stage 1. Drivers without a real decode stage in front
-  /// (the replay BinnedRunner) enable this so journeys still begin with a
-  /// decode hop at zero extra hot-path cost — the sampling hash is
-  /// computed once either way. The collector leaves it off and records
-  /// Decode itself at datagram-decode time.
-  void set_flow_trace_synth_decode(bool on) noexcept {
-    flow_trace_synth_decode_ = on;
-  }
-  bool flow_trace_synth_decode() const noexcept {
-    return flow_trace_synth_decode_;
-  }
-
- protected:
-  virtual void on_attach_perf() {}
-
-  obs::PerfCounters* perf_ = nullptr;
-  obs::FlowTracer* flow_trace_ = nullptr;
-  bool flow_trace_synth_decode_ = false;
-};
+/// There is one engine, core::IpdEngine (core/engine.hpp). EngineBase is
+/// the name the tools and layers above the engine historically
+/// programmed against; it aliases that class, so headers that only pass
+/// the engine by reference can name it without pulling in engine.hpp.
+class IpdEngine;
+using EngineBase = IpdEngine;
 
 }  // namespace ipd::core

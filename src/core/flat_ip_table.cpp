@@ -37,7 +37,15 @@ void FlatIpTable::apply_many(std::span<const ApplyOp> ops) {
   // to arrive.
   constexpr std::size_t kProbeWalks = 16;
   if (ops.size() < 2 * kProbeWalks) {
-    for (const ApplyOp& op : ops) apply_one(op);
+    // Too few ops to fill the walks: the plain loop, with each op's chain
+    // start prefetched a few ops ahead.
+    constexpr std::size_t kAhead = 8;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (i + kAhead < ops.size()) {
+        ops[i + kAhead].table->prefetch(*ops[i + kAhead].key);
+      }
+      apply_one(ops[i]);
+    }
     return;
   }
   struct Walk {
@@ -51,6 +59,11 @@ void FlatIpTable::apply_many(std::span<const ApplyOp> ops) {
   // in span order below. Walk completion order is arbitrary, hence the
   // sort. Steady-state batches are nearly all hits, so this stays empty.
   std::vector<std::uint32_t> deferred;
+  // find_or_insert checks for growth before it looks the key up, so in
+  // the sequential loop a hit grows a table sitting at its load trigger.
+  // Tables that may owe such a growth at the end: ones a hit found at the
+  // trigger, plus (below) ones a deferred insert left at it. Rare.
+  std::vector<FlatIpTable*> owed;
   Walk walks[kProbeWalks];
   std::size_t next = 0;
   std::size_t active = 0;
@@ -91,6 +104,7 @@ void FlatIpTable::apply_many(std::span<const ApplyOp> ops) {
         IpEntry& entry = slot.kv.second;
         if (op.ts > entry.last_seen) entry.last_seen = op.ts;
         entry.add(op.link, op.n);
+        if (w.table->at_growth_trigger()) owed.push_back(w.table);
       } else {
         w.slot = (w.slot + 1) & (w.table->capacity_ - 1);
         prefetch_slot(w);
@@ -106,6 +120,27 @@ void FlatIpTable::apply_many(std::span<const ApplyOp> ops) {
   }
   std::sort(deferred.begin(), deferred.end());
   for (const std::uint32_t idx : deferred) apply_one(ops[idx]);
+  for (const std::uint32_t idx : deferred) {
+    if (ops[idx].table->at_growth_trigger()) owed.push_back(ops[idx].table);
+  }
+  if (owed.empty()) return;
+  // A hit-triggered growth re-homes the same entries the table's next
+  // insert would have (size is unchanged in between), so only a table
+  // still at its trigger whose last op was a hit owes one. Find each
+  // candidate's last op walking back from the end.
+  std::erase_if(owed,
+                [](const FlatIpTable* t) { return !t->at_growth_trigger(); });
+  std::sort(owed.begin(), owed.end());
+  owed.erase(std::unique(owed.begin(), owed.end()), owed.end());
+  for (std::size_t i = ops.size(); i-- > 0 && !owed.empty();) {
+    const auto it = std::find(owed.begin(), owed.end(), ops[i].table);
+    if (it == owed.end()) continue;
+    owed.erase(it);
+    if (!std::binary_search(deferred.begin(), deferred.end(),
+                            static_cast<std::uint32_t>(i))) {
+      ops[i].table->rehash(ops[i].table->capacity_ * 2);
+    }
+  }
 }
 
 FlatIpTable::Slot* FlatIpTable::allocate_slots(std::size_t n) {
@@ -132,7 +167,7 @@ void FlatIpTable::free_slots(Slot* slots, std::size_t n) noexcept {
 }
 
 IpEntry& FlatIpTable::find_or_insert(const net::IpAddress& key) {
-  if (4 * (size_ + 1) > 3 * capacity_) {
+  if (at_growth_trigger()) {
     rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
   }
   std::size_t i = ideal_slot(key);

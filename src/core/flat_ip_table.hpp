@@ -115,7 +115,10 @@ class FlatIpTable {
   /// first-appearance link order is per-key and keys are walked to
   /// completion), while misses — which would insert and therefore fix
   /// slot placement, growth points, and probe-chain shape — are deferred
-  /// and replayed through find_or_insert in span order.
+  /// and replayed through find_or_insert in span order. A hit that the
+  /// sequential loop would have grown its table on (find_or_insert's
+  /// growth check precedes the lookup) is replayed as that growth at the
+  /// end, so capacity and memory_bytes() match too.
   static void apply_many(std::span<const ApplyOp> ops);
 
   /// Prefetch the start of the probe chain for `key`. The batched ingest
@@ -245,6 +248,13 @@ class FlatIpTable {
 
   std::size_t ideal_slot(const net::IpAddress& key) const noexcept {
     return static_cast<std::size_t>(key.hash()) & (capacity_ - 1);
+  }
+
+  /// Whether the next find_or_insert grows the table first (75% load,
+  /// counting the entry it may add). Checked before the lookup, so hits
+  /// grow too.
+  bool at_growth_trigger() const noexcept {
+    return 4 * (size_ + 1) > 3 * capacity_;
   }
 
   /// Smallest power-of-two capacity holding `n` entries at <= 50% load

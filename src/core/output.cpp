@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "core/engine_base.hpp"
+#include "core/engine.hpp"
 #include "util/strings.hpp"
 
 namespace ipd::core {

@@ -33,11 +33,12 @@ struct RangeOutput {
 
 using Snapshot = std::vector<RangeOutput>;
 
-class EngineBase;
+class IpdEngine;
+using EngineBase = IpdEngine;
 
-/// Extract the current ranges of both address families (works on any
-/// engine implementation; leaves come back in address order, so the same
-/// partition yields the same snapshot regardless of engine).
+/// Extract the current ranges of both address families (leaves come back
+/// in address order, so the same partition yields the same snapshot at any
+/// shard count).
 /// If `classified_only`, monitoring ranges are skipped (the deployment's
 /// stage-2 filter).
 Snapshot take_snapshot(const EngineBase& engine, util::Timestamp ts,

@@ -1,382 +1,6 @@
-// Sharded parallel IPD engine.
-//
-// Both engines run Algorithm 1 over one range trie per family; this one
-// partitions the *work* on that trie instead of splitting it into separate
-// per-shard tries. Each family's address space is divided into 2^k shards
-// by the top k address bits (default k = 4 → 16 v4 + 16 v6 shards). At any
-// moment the trie's top k levels induce a *cut*: the set of subtree roots
-// that are either internal nodes at depth k or leaves above depth k. Every
-// cut member is shard-aligned by construction (a leaf at depth d < k
-// covers exactly 2^(k-d) whole shards), the members tile the address space
-// in address order, and no stage-1 or stage-2 operation on one member's
-// subtree ever touches another member's subtree. That gives:
-//   * stage 1 — records are bucketed per cut member in arrival order and
-//     fanned out to N worker threads, one lock acquisition per member per
-//     batch instead of per flow;
-//   * stage 2 — the per-subtree cycle passes of core/cycle_logic.hpp run
-//     in parallel across the cut, followed by the sequential join/compact
-//     walk over the *spine* (internal nodes above the cut) and a cut
-//     rebuild for the next round.
-//
-// Exact equivalence to the sequential IpdEngine (the property the
-// determinism-differential test asserts, byte for byte) holds because both
-// engines apply the identical operation sequence to the identical physical
-// trie nodes:
-//   * stage 1 mutates only leaf contents under the owning member's lock,
-//     in arrival order per member — the same per-leaf sample order as
-//     sequential ingest;
-//   * stage 2's sequential post-order walk decomposes exactly into the
-//     per-member post-order walks plus the spine walk, and operations in
-//     different members touch disjoint state, so executing the members in
-//     parallel commutes. Hash-map iteration orders and floating-point
-//     summation orders are therefore bit-identical to sequential.
-// Leaf-level transitions (classify/demote) are buffered per member during
-// the parallel section and drained in cut (== address) order, which is the
-// sequential emission order. The only observable difference is decision-
-// log *interleaving* within a cycle: sequential interleaves spine
-// join/compact events between subtrees, the sharded engine appends them
-// after all member events. The differential test pins everything else.
+// Forwarding header: the sharded engine is core::IpdEngine with
+// EngineConfig::shard_bits > 0 (see core/engine.hpp). ShardedEngine and
+// ShardedEngineConfig are aliases declared there.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
-
-#include "core/cycle_logic.hpp"
 #include "core/engine.hpp"
-#include "core/engine_base.hpp"
-
-namespace ipd::core {
-
-struct ShardedEngineConfig {
-  /// log2 of the shard count per family (0..16). Shards split on the top
-  /// `shard_bits` address bits; parallelism is bounded by how far the
-  /// partition has refined (one unit per cut member), so values above
-  /// cidr_max just cap out at the trie's actual width.
-  int shard_bits = 4;
-  /// Worker threads for stage-1 fan-out and stage-2 subtree cycles. 1 runs
-  /// everything inline on the calling thread (still sharded, no pool).
-  int ingest_threads = 1;
-  /// Load-aware cut rebalancing. When a shard slot carried more than
-  /// `rebalance_factor` times the fair per-shard share of its family's
-  /// flows over the last stage-2 interval, the cut member covering it is
-  /// expanded up to `rebalance_depth` levels below the shard depth on the
-  /// next cut republish, splitting that hot region's stage-2 work into
-  /// more parallel units. The cut only shapes the parallel decomposition —
-  /// never which operations run or in what per-leaf order — so rebalancing
-  /// cannot change engine output and is safe to enable anywhere.
-  bool rebalance_cut = false;
-  double rebalance_factor = 2.0;
-  int rebalance_depth = 2;
-};
-
-/// Blocking parallel-for over a persistent worker pool. run() executes
-/// fn(0..n-1) across the workers plus the calling thread and returns when
-/// all items completed. Items are claimed via an atomic counter; stale
-/// workers waking late see an exhausted job and go back to sleep, so jobs
-/// never bleed into one another.
-class WorkerPool {
- public:
-  /// `workers` = extra threads to spawn (0 = everything runs inline).
-  explicit WorkerPool(int workers);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  int worker_count() const noexcept {
-    return static_cast<int>(threads_.size());
-  }
-
- private:
-  struct Job {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-  };
-
-  void worker_loop();
-  void execute(Job& job);
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::shared_ptr<Job> job_;  // latest posted job (guarded by mutex_)
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
-};
-
-class ShardedEngine final : public EngineBase {
- public:
-  explicit ShardedEngine(IpdParams params, ShardedEngineConfig config = {});
-  ~ShardedEngine() override;
-
-  const IpdParams& params() const noexcept override { return params_; }
-
-  using EngineBase::ingest;
-  void ingest(util::Timestamp ts, const net::IpAddress& src_ip,
-              topology::LinkId ingress,
-              std::uint64_t weight = 1) noexcept override;
-  void ingest_batch(
-      std::span<const netflow::FlowRecord> records) noexcept override;
-
-  /// Batched stage 1 from a SoA batch: rows are masked, weighted and
-  /// bucketed per lock slot in arrival order (same routing as
-  /// ingest_batch), then fanned out to the pool; each bucket runs
-  /// interleaved prefetched trie descents before applying samples in
-  /// order.
-  void apply_batch(const netflow::FlowBatch& batch) noexcept override;
-
-  CycleStats run_cycle(util::Timestamp now) override;
-
-  EngineStats stats() const noexcept override;
-
-  void for_each_leaf(net::Family family,
-                     const std::function<void(const RangeNode&)>& fn)
-      const override;
-
-  const RangeNode& locate(const net::IpAddress& ip) const override;
-
-  void attach_metrics(obs::MetricsRegistry& registry) override;
-  obs::MetricsRegistry* metrics_registry() const noexcept override {
-    return metrics_ ? &metrics_->registry() : nullptr;
-  }
-  EngineMetrics* metrics() noexcept override { return metrics_.get(); }
-  void flush_ingest_metrics() override;
-
-  void attach_decision_log(DecisionLog& log) noexcept override {
-    decision_log_ = &log;
-  }
-  DecisionLog* decision_log() const noexcept override { return decision_log_; }
-
-  void attach_tracer(obs::Tracer& tracer) noexcept override {
-    tracer_ = &tracer;
-  }
-  obs::Tracer* tracer() const noexcept override { return tracer_; }
-
-  void attach_cycle_deltas(CycleDeltaLog& log) noexcept override {
-    cycle_deltas_ = &log;
-  }
-  CycleDeltaLog* cycle_deltas() const noexcept override {
-    return cycle_deltas_;
-  }
-
-  // Shard-routing surface (property tests, /explain diagnostics).
-  int shard_bits() const noexcept { return config_.shard_bits; }
-  std::size_t shard_count() const noexcept { return shard_count_; }
-
-  /// Family-local index of the shard owning `ip` (after masking to the
-  /// family's cidr_max — masking never changes the owning shard).
-  std::size_t shard_of(const net::IpAddress& ip) const noexcept {
-    return shard_index(ip.masked(params_.cidr_max(ip.family())));
-  }
-
-  /// The root prefix of shard `index` of `family`.
-  net::Prefix shard_prefix(net::Family family, std::size_t index) const;
-
-  /// Current number of independently lockable / parallelizable subtrees in
-  /// the family's cut (1 = the whole family is one unit, up to 2^k once
-  /// the partition refines to the shard depth — beyond 2^k while the
-  /// load-aware rebalancer holds hot members expanded).
-  std::size_t parallel_units(net::Family family) const;
-
-  /// JSON document for the /shards introspection endpoint: per-family
-  /// shard-slot load (lifetime flows + last-interval deltas) and the
-  /// current cut members with their prefixes and owning slots.
-  std::string shards_json() const;
-
- private:
-  friend struct SnapshotAccess;
-
-  /// Per-slot buffered stage-1 metric deltas; flushed into the
-  /// EngineMetrics registry handles in slot order under the exclusive
-  /// structure lock. One writer at a time (the slot's mutex holder).
-  struct IngestDeltas {
-    std::array<std::uint64_t, 2> flows{};
-    std::array<std::uint64_t, 2> weight{};
-    std::unordered_map<std::uint64_t, std::uint64_t> link_flows;
-
-    void record(net::Family family, topology::LinkId link,
-                std::uint64_t w) {
-      const int f = family == net::Family::V4 ? 0 : 1;
-      ++flows[f];
-      weight[f] += w;
-      ++link_flows[link.key()];
-    }
-  };
-
-  /// One lock slot. The cut member covering shards [s, s+span) is
-  /// serialized by slot s (its first shard), so at most `cut.size()` of
-  /// the 2^k slots are active at any moment. Flow counters accumulate in
-  /// the slot forever (slots never move), so stats() needs no lock.
-  struct Slot {
-    // All slot mutexes report to one "engine.slot" lock site — per-slot
-    // sites would scale series cardinality with 2^shard_bits.
-    mutable obs::InstrumentedMutex mutex{"engine.slot"};
-    std::atomic<std::uint64_t> flows{0};
-    IngestDeltas deltas;
-  };
-
-  /// One family: a single trie plus the current cut over it.
-  struct FamilyState {
-    explicit FamilyState(net::Family f) : family(f), trie(f) {}
-    net::Family family;
-    IpdTrie trie;
-    std::vector<std::unique_ptr<Slot>> slots;  // 2^k, fixed
-    // Cut members in address order, as indices into the trie's node pool
-    // (indices are stable across splits; freed slots are only reused for
-    // nodes created under the exclusive lock, so a cut index can never
-    // silently re-point mid-cycle). Rebuilt after every cycle under the
-    // exclusive structure lock; read under the shared lock.
-    std::vector<NodeIndex> cut;
-    // Same members as a set, for the spine walk's "stop at the cut" test
-    // (with rebalancing the cut is no longer a fixed-depth frontier).
-    std::unordered_set<NodeIndex> cut_set;
-    // shard index -> slot index of the cut member owning that shard. Cut
-    // members deeper than shard_bits all share their shard's slot.
-    std::vector<std::uint32_t> owner;
-    // Per-slot lifetime flow counts at the last cut republish, and the
-    // delta accumulated over the last stage-2 interval — the occupancy
-    // signal driving the load-aware cut chooser and /shards.
-    std::vector<std::uint64_t> last_flows;
-    std::vector<std::uint64_t> last_deltas;
-  };
-
-  /// Pre-masked sample, bucketed per cut member during batch fan-out.
-  struct PreparedSample {
-    util::Timestamp ts;
-    net::IpAddress ip;  // masked to cidr_max
-    topology::LinkId link;
-    std::uint64_t weight;
-    // Provenance id when the flow is hash-sampled (0 otherwise): computed
-    // once at routing time so the worker's trie-apply hop reuses it
-    // instead of re-hashing.
-    std::uint64_t flow_id = 0;
-  };
-
-  /// Reusable per-batch bucket storage (pooled so concurrent ingest_batch
-  /// calls don't allocate fresh vectors every time).
-  struct Staging {
-    std::vector<std::vector<PreparedSample>> buckets;
-    std::vector<std::uint32_t> active;  // non-empty bucket indices
-    // Per-bucket leaf-pointer scratch for the interleaved descents (kept
-    // alongside the buckets so workers never allocate on the hot path).
-    std::vector<std::vector<RangeNode*>> leaves;
-  };
-
-  FamilyState& family_state(net::Family f) noexcept {
-    return f == net::Family::V4 ? v4_ : v6_;
-  }
-  const FamilyState& family_state(net::Family f) const noexcept {
-    return f == net::Family::V4 ? v4_ : v6_;
-  }
-
-  /// Family-local shard index of a masked address.
-  std::size_t shard_index(const net::IpAddress& ip) const noexcept {
-    if (config_.shard_bits == 0) return 0;
-    if (ip.is_v4()) return ip.v4_value() >> (32 - config_.shard_bits);
-    return static_cast<std::size_t>(ip.hi() >> (64 - config_.shard_bits));
-  }
-
-  /// Slot serializing the cut member that covers `masked`.
-  std::size_t slot_index(const FamilyState& state,
-                         const net::IpAddress& masked) const noexcept {
-    return state.owner[shard_index(masked)];
-  }
-
-  // Staging bucket layout: [v4 slots][v6 slots]. Bucket == slot, so one
-  // bucket maps to exactly one cut member and vice versa.
-  std::size_t bucket_of(const FamilyState& state,
-                        const net::IpAddress& masked) const noexcept {
-    const std::size_t base =
-        state.family == net::Family::V4 ? 0 : shard_count_;
-    return base + slot_index(state, masked);
-  }
-
-  std::unique_ptr<Staging> acquire_staging();
-  void release_staging(std::unique_ptr<Staging> staging);
-  void ingest_bucket(std::size_t bucket, Staging& staging) noexcept;
-  /// Shared tail of ingest_batch/apply_batch: fan the staged buckets out
-  /// to the pool and return the staging to its free list.
-  void fan_out(std::unique_ptr<Staging> staging) noexcept;
-
-  /// Re-derive the cut and the shard->slot ownership map from the trie's
-  /// current top k levels, measuring per-slot occupancy since the last
-  /// republish and (when rebalance_cut is set) expanding hot members
-  /// below the shard depth. Exclusive structure lock required.
-  void rebuild_cut(FamilyState& state);
-
-  void cycle_family(FamilyState& state, util::Timestamp now, CycleStats& out,
-                    PhaseAccum& phases);
-  void spine_pass(FamilyState& state, RangeNode& node, util::Timestamp now,
-                  CycleStats& out, PhaseAccum& phases,
-                  const CycleSinks& sinks);
-
-  void flush_deltas_locked();
-  void flush_one_delta(IngestDeltas& deltas);
-  void publish_cycle_metrics(const CycleStats& out, const PhaseAccum& phases);
-  void on_attach_perf() override;
-
-  IpdParams params_;
-  ShardedEngineConfig config_;
-  std::size_t shard_count_;
-
-  // Structure lock: ingest/snapshot/locate take it shared (the per-slot
-  // mutexes serialize access within a cut member); run_cycle — the only
-  // structural mutator — takes it exclusive.
-  mutable obs::InstrumentedSharedMutex structure_mutex_{"engine.structure"};
-
-  FamilyState v4_;
-  FamilyState v6_;
-
-  std::unique_ptr<WorkerPool> pool_;
-
-  obs::InstrumentedMutex staging_mutex_{"engine.staging"};
-  std::vector<std::unique_ptr<Staging>> staging_pool_;
-
-  // Lifetime counters (stage 2 writes under the exclusive lock; stats()
-  // reads concurrently — relaxed atomics keep dashboards race-free).
-  std::atomic<std::uint64_t> cycles_run_{0};
-  std::atomic<std::uint64_t> total_classifications_{0};
-  std::atomic<std::uint64_t> total_splits_{0};
-  std::atomic<std::uint64_t> total_joins_{0};
-  std::atomic<std::uint64_t> total_drops_{0};
-
-  /// Stage-1 queue-delay histogram for `slot` (nullptr before
-  /// attach_metrics). Per-slot instruments up to 64 shards, one aggregate
-  /// "all" instrument beyond that to bound the series count.
-  obs::Histogram* queue_delay_hist(std::size_t slot) const noexcept {
-    if (shard_queue_delay_.empty()) return nullptr;
-    return shard_queue_delay_.size() == 1 ? shard_queue_delay_[0]
-                                          : shard_queue_delay_[slot];
-  }
-
-  std::unique_ptr<EngineMetrics> metrics_;
-  // Per-shard instruments (created at attach_metrics, same slot layout as
-  // FamilyState::slots; empty while metrics are detached).
-  std::vector<obs::Histogram*> shard_queue_delay_;
-  std::vector<obs::Gauge*> shard_flows_;  // [v4 slots][v6 slots]
-  // Occupancy/balance instruments (nullptr while metrics are detached).
-  obs::Histogram* shard_occupancy_ = nullptr;
-  std::array<obs::Gauge*, 2> shard_imbalance_{};  // by family
-  std::array<obs::Gauge*, 2> cut_members_{};      // by family
-  DecisionLog* decision_log_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  CycleDeltaLog* cycle_deltas_ = nullptr;
-  // Perf phase ids, cached at attach_perf (phase() takes a mutex).
-  int perf_stage1_ = -1;
-  int perf_stage2_ = -1;
-  std::array<int, kNumCyclePhases> perf_phase_ids_{-1, -1, -1, -1, -1};
-};
-
-}  // namespace ipd::core

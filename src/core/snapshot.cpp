@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "obs/build_info.hpp"
 
 namespace ipd::core {
@@ -228,7 +227,7 @@ IpdParams decode_params(std::string_view payload) {
 
 /// Privileged serializer: the one place allowed to read and reproduce the
 /// private layout of the engine's state-bearing types (friended from
-/// RangeNode/IpdTrie/FlatIpTable/IngressCounts/IpdEngine/ShardedEngine).
+/// RangeNode/IpdTrie/FlatIpTable/IngressCounts/IpdEngine).
 struct SnapshotAccess {
   using NodePool = IpdTrie::NodePool;
   using Index = NodePool::Index;
@@ -545,11 +544,7 @@ struct SnapshotAccess {
   }
 
   static std::string save(const IpdEngine& engine, const SnapshotClock& clock);
-  static std::string save(const ShardedEngine& engine,
-                          const SnapshotClock& clock);
   static void install(IpdEngine& engine, StagedTrie&& v4, StagedTrie&& v6,
-                      const Meta& meta);
-  static void install(ShardedEngine& engine, StagedTrie&& v4, StagedTrie&& v6,
                       const Meta& meta);
 };
 
@@ -581,28 +576,13 @@ std::string build_file(const Meta& meta, const IpdParams& params,
 
 std::string SnapshotAccess::save(const IpdEngine& engine,
                                  const SnapshotClock& clock) {
-  Meta meta;
-  meta.sharded = false;
-  meta.shard_bits = 0;
-  meta.clock = clock;
-  meta.stats = engine.stats();
-  meta.params_hash = params_hash(engine.params());
-  meta.build_info = obs::build_info_line();
-  std::vector<LpmRow> lpm;
-  std::string v4 = encode_trie(engine.trie(net::Family::V4), &lpm);
-  std::string v6 = encode_trie(engine.trie(net::Family::V6), &lpm);
-  return build_file(meta, engine.params(), std::move(v4), std::move(v6), lpm);
-}
-
-std::string SnapshotAccess::save(const ShardedEngine& engine,
-                                 const SnapshotClock& clock) {
   // Exclusive: shuts out concurrent ingest (shared-lock holders mutating
   // leaf contents under slot mutexes) as well as cycles, so the encoded
   // tries are a consistent instant.
   const std::unique_lock<obs::InstrumentedSharedMutex> lock(
       engine.structure_mutex_);
   Meta meta;
-  meta.sharded = true;
+  meta.sharded = engine.config_.shard_bits > 0;
   meta.shard_bits = engine.config_.shard_bits;
   meta.clock = clock;
   meta.stats = engine.stats();
@@ -616,13 +596,6 @@ std::string SnapshotAccess::save(const ShardedEngine& engine,
 
 void SnapshotAccess::install(IpdEngine& engine, StagedTrie&& v4,
                              StagedTrie&& v6, const Meta& meta) {
-  adopt_trie(engine.trie4_, std::move(v4));
-  adopt_trie(engine.trie6_, std::move(v6));
-  engine.stats_ = meta.stats;
-}
-
-void SnapshotAccess::install(ShardedEngine& engine, StagedTrie&& v4,
-                             StagedTrie&& v6, const Meta& meta) {
   const std::unique_lock<obs::InstrumentedSharedMutex> lock(
       engine.structure_mutex_);
   adopt_trie(engine.v4_.trie, std::move(v4));
@@ -630,7 +603,7 @@ void SnapshotAccess::install(ShardedEngine& engine, StagedTrie&& v4,
   // Lifetime flow counts live distributed over slot counters; stats() only
   // ever sums them, so parking the whole total on one slot preserves every
   // observable number across any shard-count change.
-  for (ShardedEngine::FamilyState* state : {&engine.v4_, &engine.v6_}) {
+  for (IpdEngine::FamilyState* state : {&engine.v4_, &engine.v6_}) {
     for (auto& slot : state->slots) {
       slot->flows.store(0, std::memory_order_relaxed);
     }
@@ -652,13 +625,7 @@ void SnapshotAccess::install(ShardedEngine& engine, StagedTrie&& v4,
 
 std::string save_snapshot(const EngineBase& engine,
                           const SnapshotClock& clock) {
-  if (const auto* sharded = dynamic_cast<const ShardedEngine*>(&engine)) {
-    return SnapshotAccess::save(*sharded, clock);
-  }
-  if (const auto* sequential = dynamic_cast<const IpdEngine*>(&engine)) {
-    return SnapshotAccess::save(*sequential, clock);
-  }
-  bad("unsupported engine implementation for snapshot");
+  return SnapshotAccess::save(engine, clock);
 }
 
 void save_snapshot_file(const std::string& path, const EngineBase& engine,
@@ -749,13 +716,7 @@ SnapshotClock restore_snapshot(EngineBase& engine, std::string_view data) {
       SnapshotAccess::decode_trie(parser.section(kSectionTrieV6),
                                   net::Family::V6);
 
-  if (auto* sharded = dynamic_cast<ShardedEngine*>(&engine)) {
-    SnapshotAccess::install(*sharded, std::move(v4), std::move(v6), meta);
-  } else if (auto* sequential = dynamic_cast<IpdEngine*>(&engine)) {
-    SnapshotAccess::install(*sequential, std::move(v4), std::move(v6), meta);
-  } else {
-    bad("unsupported engine implementation for restore");
-  }
+  SnapshotAccess::install(engine, std::move(v4), std::move(v6), meta);
   return meta.clock;
 }
 

@@ -10,11 +10,11 @@
 // transition stream, same memory_bytes(). That determinism claim is
 // enforced by test_snapshot_differential.
 //
-// Restore is engine-shape-agnostic: a snapshot taken from a sequential
-// IpdEngine restores into a ShardedEngine of any shard count and vice
-// versa, because both engines operate one physical trie per family — the
-// sharded engine just rebuilds its cut over the restored trie
-// (DESIGN.md §10 "re-shard semantics").
+// Restore is shard-count-agnostic: a snapshot taken at any shard count
+// restores into an engine of any other, because the engine operates one
+// physical trie per family whatever its shard count — the restored engine
+// just rebuilds its cut over the restored trie (DESIGN.md §10 "re-shard
+// semantics").
 //
 // Fail-closed: restore parses and validates the entire file into staged
 // structures (fresh node pools, decoded tables) and only then swaps them
@@ -22,7 +22,7 @@
 // util::SnapshotError and leaves the engine exactly as it was.
 //
 // File container: see util/snapshot_io.hpp. Sections used here:
-//   1 meta    — engine kind, clock, lifetime stats, build info, params hash
+//   1 meta    — shard shape, clock, lifetime stats, build info, params hash
 //   2 params  — canonical IpdParams encoding (its crc64 is the params hash)
 //   3 trie v4 — arena shape + node records
 //   4 trie v6
@@ -71,7 +71,7 @@ struct SnapshotInfo {
   std::uint32_t format_version = 0;
   std::string build_info;           // writer's build, informational only
   std::uint64_t params_hash = 0;    // crc64 of the canonical params encoding
-  bool sharded = false;             // donor engine shape, informational
+  bool sharded = false;             // donor had shard_bits > 0 (informational)
   int shard_bits = 0;
   SnapshotClock clock;
   EngineStats stats;
@@ -90,11 +90,9 @@ struct LpmRow {
 std::string encode_params(const IpdParams& params);
 std::uint64_t params_hash(const IpdParams& params);
 
-/// Serialize the full engine state. The engine must be quiescent or
-/// internally lockable (the sharded engine is locked exclusively for the
-/// duration; the sequential engine relies on the caller's serialization,
-/// same contract as run_cycle). Accepts IpdEngine and ShardedEngine;
-/// throws SnapshotError(kBadValue) for other EngineBase implementations.
+/// Serialize the full engine state. The engine's structure lock is taken
+/// exclusively for the duration, so concurrent ingest and cycles wait and
+/// the encoded tries are one consistent instant.
 std::string save_snapshot(const EngineBase& engine, const SnapshotClock& clock);
 
 /// save_snapshot + atomic file publish (tmp + fsync + rename).

@@ -8,7 +8,9 @@
 // asserts the warm-restart contract under hostility:
 //
 //   * stability — the restored run's Table-3 dumps are byte-identical to
-//     the donor's post-cut dumps, and lifetime stats agree exactly;
+//     the donor's post-cut dumps, the engine's exact trie memory (the
+//     engine-owned share of CycleStats::memory_bytes) matches bin for bin,
+//     and lifetime stats agree exactly;
 //   * accuracy — per-bin ground-truth validation counts for the post-cut
 //     bins are identical between the two runs (a restore never costs
 //     accuracy), with the donor's full accuracy history available to the
@@ -71,6 +73,11 @@ struct KillRestoreOutcome {
 
 namespace detail {
 
+inline std::uint64_t trie_memory(const core::IpdEngine& engine) {
+  return engine.trie(net::Family::V4).memory_bytes() +
+         engine.trie(net::Family::V6).memory_bytes();
+}
+
 inline std::string format_dump(const core::Snapshot& snap) {
   std::string dump;
   for (const auto& row : snap) {
@@ -115,6 +122,7 @@ inline void run_kill_restore(workload::FlowGenerator& gen,
   core::SnapshotClock clock;
   std::size_t split = 0;
   std::vector<std::string> donor_dumps;
+  std::vector<std::uint64_t> donor_memory;
   std::vector<analysis::ValidationRun::BinRow> donor_bins;
   {
     core::IpdEngine engine(params);
@@ -136,6 +144,7 @@ inline void run_kill_restore(workload::FlowGenerator& gen,
     runner.on_snapshot = [&](util::Timestamp ts, const core::Snapshot& snap,
                              const core::LpmTable&) {
       donor_dumps.push_back(detail::format_dump(snap));
+      donor_memory.push_back(detail::trie_memory(engine));
       if (bins++ == capture_bin) {
         snapshot_bytes = core::save_snapshot(engine, runner.snapshot_clock(ts));
         clock = runner.snapshot_clock(ts);
@@ -190,9 +199,11 @@ inline void run_kill_restore(workload::FlowGenerator& gen,
     analysis::BinnedRunner runner(engine, &validation);
     runner.resume(resumed);
     std::vector<std::string> restored_dumps;
+    std::vector<std::uint64_t> restored_memory;
     runner.on_snapshot = [&](util::Timestamp, const core::Snapshot& snap,
                              const core::LpmTable&) {
       restored_dumps.push_back(detail::format_dump(snap));
+      restored_memory.push_back(detail::trie_memory(engine));
     };
     runner.on_metrics = [&](util::Timestamp ts,
                             const obs::MetricsRegistry& reg) {
@@ -212,6 +223,8 @@ inline void run_kill_restore(workload::FlowGenerator& gen,
     for (std::size_t i = 0; i < restored_dumps.size(); ++i) {
       EXPECT_EQ(donor_dumps[capture_bin + 1 + i], restored_dumps[i])
           << "post-restore snapshot " << i << " differs";
+      EXPECT_EQ(donor_memory[capture_bin + 1 + i], restored_memory[i])
+          << "post-restore snapshot " << i << " memory_bytes";
     }
     const auto stats = engine.stats();
     EXPECT_EQ(stats.flows_ingested, outcome.stats.flows_ingested);

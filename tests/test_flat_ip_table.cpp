@@ -349,6 +349,7 @@ TEST(FlatIpTable, ApplyManyMatchesSequentialLoop) {
     for (int t = 0; t < kTables; ++t) {
       ASSERT_EQ(batched[t].capacity(), reference[t].capacity());
       ASSERT_EQ(batched[t].size(), reference[t].size());
+      EXPECT_EQ(batched[t].memory_bytes(), reference[t].memory_bytes());
       auto it = reference[t].begin();
       for (const auto& [ip, entry] : batched[t]) {
         ASSERT_EQ(ip, it->first);  // identical slot order == placement
@@ -362,6 +363,38 @@ TEST(FlatIpTable, ApplyManyMatchesSequentialLoop) {
         ++it;
       }
     }
+  }
+}
+
+// find_or_insert checks for growth before the lookup, so a hit on a table
+// sitting at its 75% trigger grows it. A batch of pure hits must do the
+// same through apply_many's interleaved walks.
+TEST(FlatIpTable, ApplyManyHitAtGrowthTriggerGrows) {
+  FlatIpTable batched;
+  FlatIpTable reference;
+  for (std::uint32_t key = 0; key < 6; ++key) {  // 6 of 8 slots: at trigger
+    batched.find_or_insert(ip_of(key)).total += 1;
+    reference.find_or_insert(ip_of(key)).total += 1;
+  }
+  ASSERT_EQ(batched.capacity(), 8u);
+  std::vector<IpAddress> keys;
+  for (std::uint32_t i = 0; i < 40; ++i) keys.push_back(ip_of(i % 6));
+  std::vector<FlatIpTable::ApplyOp> ops;
+  for (const IpAddress& key : keys) {
+    ops.push_back({&batched, &key, 5, LinkId{1, 0}, 1});
+    IpEntry& entry = reference.find_or_insert(key);
+    if (5 > entry.last_seen) entry.last_seen = 5;
+    entry.add(LinkId{1, 0}, 1);
+  }
+  FlatIpTable::apply_many(ops);
+  EXPECT_EQ(reference.capacity(), 16u);
+  EXPECT_EQ(batched.capacity(), reference.capacity());
+  EXPECT_EQ(batched.memory_bytes(), reference.memory_bytes());
+  auto it = reference.begin();
+  for (const auto& [ip, entry] : batched) {
+    ASSERT_EQ(ip, it->first);
+    EXPECT_EQ(entry.total, it->second.total);
+    ++it;
   }
 }
 

@@ -454,12 +454,14 @@ TEST_F(IntrospectionTest, IndexListsEndpoints) {
   EXPECT_NE(body.find("/locks"), std::string::npos);
 }
 
-// /shards degrades to 503 on a sequential engine (there is no cut to
-// report) and serves the measured occupancy histogram + cut members on a
-// sharded one.
-TEST_F(IntrospectionTest, ShardsRequiresShardedEngine) {
-  EXPECT_NE(http_get(server_.port(), "/shards").find("HTTP/1.1 503"),
-            std::string::npos);
+// /shards serves the measured occupancy histogram + cut members at any
+// shard count; a one-shard engine reports one slot per family.
+TEST_F(IntrospectionTest, OneShardEngineServesShards) {
+  const std::string response = http_get(server_.port(), "/shards");
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos);
+  const std::string body = body_of(response);
+  EXPECT_TRUE(JsonChecker(body).valid()) << body;
+  EXPECT_NE(body.find("\"shard_count\":1"), std::string::npos) << body;
 }
 
 TEST(IntrospectionSharded, ShardsReportsOccupancyAndCut) {

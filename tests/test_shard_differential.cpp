@@ -32,6 +32,7 @@ struct RunResult {
   std::vector<core::CycleStats> cycles;
   std::vector<core::RangeTransition> transitions;
   core::EngineStats stats;
+  std::size_t ingest_batch = 0;  // runner batch size the run used
 };
 
 /// Replay `records` through `engine` with the standard runner cadence and
@@ -45,6 +46,7 @@ RunResult run_workload(core::EngineBase& engine,
   config.ingest_batch = ingest_batch;
   analysis::BinnedRunner runner(engine, nullptr, config);
   RunResult result;
+  result.ingest_batch = ingest_batch;
   runner.on_snapshot = [&result](util::Timestamp, const core::Snapshot& snap,
                                  const core::LpmTable&) {
     std::string dump;
@@ -106,6 +108,11 @@ void expect_equal(const RunResult& reference, const RunResult& candidate,
     EXPECT_EQ(a.ranges_classified, b.ranges_classified) << "cycle " << i;
     EXPECT_EQ(a.ranges_monitoring, b.ranges_monitoring) << "cycle " << i;
     EXPECT_EQ(a.tracked_ips, b.tracked_ips) << "cycle " << i;
+    // The runner adds its pending-batch buffer, sized by its batch size,
+    // to memory_bytes; compare only runs that used the same one.
+    if (reference.ingest_batch == candidate.ingest_batch) {
+      EXPECT_EQ(a.memory_bytes, b.memory_bytes) << "cycle " << i;
+    }
   }
   // Exactly-equal transition sequences, including float payloads: both
   // engines must execute identical per-node operation sequences, so even

@@ -1,6 +1,6 @@
 // Concurrency stress for the sharded parallel engine.
 //
-// Writer threads hammer ingest() and ingest_batch() while a reader thread
+// Writer threads hammer ingest() and apply_batch() while a reader thread
 // polls /ranges-style snapshots (for_each_leaf), lifetime stats and the
 // shard-routing surface, and the main thread fires stage-2 cycles — the
 // exact overlap the introspection server produces in deployment. The
@@ -69,7 +69,7 @@ void run_stress(ShardedEngine& engine, const StressConfig& config) {
   for (int w = 0; w < config.writers; ++w) {
     writers.emplace_back([&, w] {
       util::Rng rng(1000 + static_cast<std::uint64_t>(w));
-      std::vector<netflow::FlowRecord> batch;
+      netflow::FlowBatch batch;
       batch.reserve(config.batch);
       for (int i = 0; i < config.records_per_writer; ++i) {
         const util::Timestamp now = sim_now.load(std::memory_order_relaxed);
@@ -79,12 +79,12 @@ void run_stress(ShardedEngine& engine, const StressConfig& config) {
         } else {
           batch.push_back(record);
           if (batch.size() >= config.batch) {
-            engine.ingest_batch(batch);
+            engine.apply_batch(batch);
             batch.clear();
           }
         }
       }
-      if (!batch.empty()) engine.ingest_batch(batch);
+      if (!batch.empty()) engine.apply_batch(batch);
     });
   }
 

@@ -170,6 +170,7 @@ void expect_equal_tail(const RunResult& reference, const Capture& capture,
     EXPECT_EQ(a.ranges_classified, b.ranges_classified) << "cycle " << i;
     EXPECT_EQ(a.ranges_monitoring, b.ranges_monitoring) << "cycle " << i;
     EXPECT_EQ(a.tracked_ips, b.tracked_ips) << "cycle " << i;
+    EXPECT_EQ(a.memory_bytes, b.memory_bytes) << "cycle " << i;
   }
 
   std::vector<core::RangeTransition> tail_transitions;

@@ -261,7 +261,7 @@ TEST_F(CrossShardRestore, AllPairsContinueByteIdentically) {
     ASSERT_FALSE(capture.bytes.empty())
         << "donor shards=" << (1 << donor_bits);
     const auto info = core::read_snapshot_info(capture.bytes);
-    EXPECT_TRUE(info.sharded);
+    EXPECT_EQ(info.sharded, donor_bits > 0);
     EXPECT_EQ(info.shard_bits, donor_bits);
 
     for (const int target_bits : {0, 2, 4}) {

@@ -20,17 +20,16 @@
 //                           (raise and resolve) from the health engine
 //   --linger=<seconds>      keep serving HTTP for this long after the
 //                           replay finishes (for scrapes / smoke tests)
-//   --shards=<N>            run the sharded parallel engine with N shards
-//                           per family (power of two, 1..65536) instead of
-//                           the sequential engine
-//   --ingest-threads=<M>    worker threads for the sharded engine's
-//                           stage-1 fan-out and stage-2 shard cycles
-//                           (default 1; implies --shards=16 if not given)
+//   --shards=<N>            shards per family (power of two, 1..65536;
+//                           default 1, the sequential engine)
+//   --ingest-threads=<M>    worker threads for the engine's stage-1
+//                           fan-out and stage-2 shard cycles (default 1;
+//                           implies --shards=16 if not given)
 //   --batch-size=<N>        records buffered per apply_batch() handoff to
 //                           the engine (default 4096; boundaries always
 //                           flush first, so output is byte-identical for
 //                           any N >= 1)
-//   --rebalance-cut         sharded engine only: re-choose the stage-2 cut
+//   --rebalance-cut         re-choose the stage-2 cut
 //                           from measured per-shard flow load at each
 //                           publish (expands hot members; never changes
 //                           the engine's output, only its parallelism)
@@ -101,7 +100,6 @@
 #include "analysis/runner.hpp"
 #include "core/decision_log.hpp"
 #include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/snapshot.hpp"
 #include "obs/timeseries.hpp"
 #include "core/output.hpp"
@@ -153,7 +151,7 @@ int main(int argc, char** argv) {
   bool decision_log_enabled = false;
   std::size_t decision_log_capacity = core::DecisionLog::kDefaultCapacity;
   long linger_s = 0;
-  int shards = -1;          // -1: sequential engine
+  int shards = -1;          // -1: unset (one shard, 16 with --ingest-threads)
   int ingest_threads = -1;  // -1: default (1)
   std::size_t batch_size = 0;  // 0: RunnerConfig default
   bool rebalance_cut = false;
@@ -275,26 +273,20 @@ int main(int argc, char** argv) {
 
   // --ingest-threads without --shards implies the default shard count.
   if (ingest_threads > 0 && shards < 0) shards = 16;
-  std::unique_ptr<core::EngineBase> engine_ptr;
-  if (shards < 0) {
-    engine_ptr = std::make_unique<core::IpdEngine>(params);
-  } else {
-    if (shards < 1 || (shards & (shards - 1)) != 0) {
-      std::fprintf(stderr, "--shards must be a power of two >= 1\n");
-      return 2;
-    }
-    core::ShardedEngineConfig sharded;
-    sharded.shard_bits = 0;
-    while ((1 << sharded.shard_bits) < shards) ++sharded.shard_bits;
-    sharded.ingest_threads = std::max(ingest_threads, 1);
-    sharded.rebalance_cut = rebalance_cut;
-    engine_ptr = std::make_unique<core::ShardedEngine>(params, sharded);
-    util::log_info("sharded engine enabled",
-                   {{"shards", shards},
-                    {"ingest_threads", sharded.ingest_threads},
-                    {"rebalance_cut", rebalance_cut}});
+  if (shards < 0) shards = 1;
+  if (shards < 1 || (shards & (shards - 1)) != 0) {
+    std::fprintf(stderr, "--shards must be a power of two >= 1\n");
+    return 2;
   }
-  core::EngineBase& engine = *engine_ptr;
+  core::EngineConfig engine_config;
+  while ((1 << engine_config.shard_bits) < shards) ++engine_config.shard_bits;
+  engine_config.ingest_threads = std::max(ingest_threads, 1);
+  engine_config.rebalance_cut = rebalance_cut;
+  core::IpdEngine engine(params, engine_config);
+  util::log_info("engine",
+                 {{"shards", shards},
+                  {"ingest_threads", engine_config.ingest_threads},
+                  {"rebalance_cut", rebalance_cut}});
 
   obs::MetricsRegistry registry;
   engine.attach_metrics(registry);
