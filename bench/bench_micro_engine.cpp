@@ -20,6 +20,7 @@
 #include "core/lpm_table.hpp"
 #include "core/output.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/scope.hpp"
 #include "netflow/codec.hpp"
 #include "netflow/ipfix.hpp"
 #include "netflow/v5.hpp"
@@ -444,8 +445,8 @@ void write_trie_layout_report() {
 /// well-formed report without fabricated zeros; bench_check runs with
 /// --allow-missing to skip the gates on those keys there.
 std::string perf_section_json(const obs::PerfCounters& perf, const char* name,
-                              std::uint64_t ops, const obs::PerfReading& delta,
-                              bool ok) {
+                              std::uint64_t ops,
+                              const obs::PerfPhaseTotals& delta, bool ok) {
   std::string out = util::format("\"%s\":{\"ops\":%llu", name,
                                  static_cast<unsigned long long>(ops));
   if (ok && ops != 0) {
@@ -486,56 +487,52 @@ std::string perf_section_json(const obs::PerfCounters& perf, const char* name,
 void write_perf_counter_report() {
   obs::PerfCounters perf;
   const auto& trace = shared_trace();
+  // One layer per section: a scope over it charges the section's counter
+  // deltas to a perf phase of the same name.
+  const obs::Layer ingest_layer("stage1_ingest", 1, nullptr, nullptr, &perf);
+  const obs::Layer lookup_layer("lpm_lookup", 1, nullptr, nullptr, &perf);
 
   // Section 1: stage-1 ingest, per flow. Fresh engine, warmed untimed.
-  obs::PerfReading ingest_delta;
-  std::uint64_t ingest_ops = 0;
-  bool ingest_ok = false;
+  constexpr int kIngestPasses = 2;
   {
     core::IpdEngine engine(micro_params());
     for (const auto& r : trace) engine.ingest(r);
-    obs::PerfReading before, after;
-    ingest_ok = perf.read_current(before);
-    constexpr int kPasses = 2;
-    for (int p = 0; p < kPasses; ++p) {
+    const obs::Scope scope(ingest_layer);
+    for (int p = 0; p < kIngestPasses; ++p) {
       for (const auto& r : trace) engine.ingest(r);
-    }
-    ingest_ok = ingest_ok && perf.read_current(after);
-    if (ingest_ok) {
-      for (std::size_t e = 0; e < obs::kNumPerfEvents; ++e) {
-        ingest_delta.value[e] = after.value[e] - before.value[e];
-      }
-      ingest_ops = static_cast<std::uint64_t>(trace.size()) * kPasses;
     }
   }
 
   // Section 2: LPM lookups over the warmed partition, per lookup.
-  obs::PerfReading lookup_delta;
-  std::uint64_t lookup_ops = 0;
-  bool lookup_ok = false;
+  constexpr int kLookupPasses = 4;
   {
     auto& engine = warmed_engine();
     const auto snapshot = core::take_snapshot(engine, bench::kDay1);
     const auto table = core::LpmTable::from_snapshot(snapshot);
     std::uint64_t sink = 0;
     for (const auto& r : trace) sink += table.lookup(r.src_ip).has_value();
-    obs::PerfReading before, after;
-    lookup_ok = perf.read_current(before);
-    constexpr int kPasses = 4;
-    for (int p = 0; p < kPasses; ++p) {
-      for (const auto& r : trace) sink += table.lookup(r.src_ip).has_value();
-    }
-    lookup_ok = lookup_ok && perf.read_current(after);
-    benchmark::DoNotOptimize(sink);
-    if (lookup_ok) {
-      for (std::size_t e = 0; e < obs::kNumPerfEvents; ++e) {
-        lookup_delta.value[e] = after.value[e] - before.value[e];
+    {
+      const obs::Scope scope(lookup_layer);
+      for (int p = 0; p < kLookupPasses; ++p) {
+        for (const auto& r : trace) sink += table.lookup(r.src_ip).has_value();
       }
-      lookup_ops = static_cast<std::uint64_t>(trace.size()) * kPasses;
     }
+    benchmark::DoNotOptimize(sink);
   }
 
-  const auto per_op = [](const obs::PerfReading& d, obs::PerfEvent e,
+  // Phases in registration order; a section whose scope could not read
+  // the counters charged nothing (scopes == 0).
+  const std::vector<obs::PerfPhaseTotals> totals = perf.snapshot();
+  const obs::PerfPhaseTotals& ingest_delta = totals.at(0);
+  const obs::PerfPhaseTotals& lookup_delta = totals.at(1);
+  const bool ingest_ok = ingest_delta.scopes != 0;
+  const bool lookup_ok = lookup_delta.scopes != 0;
+  const std::uint64_t ingest_ops =
+      ingest_ok ? static_cast<std::uint64_t>(trace.size()) * kIngestPasses : 0;
+  const std::uint64_t lookup_ops =
+      lookup_ok ? static_cast<std::uint64_t>(trace.size()) * kLookupPasses : 0;
+
+  const auto per_op = [](const obs::PerfPhaseTotals& d, obs::PerfEvent e,
                          std::uint64_t ops) {
     return ops != 0 ? static_cast<double>(d[e]) / static_cast<double>(ops)
                     : 0.0;

@@ -70,9 +70,9 @@ double measure(const std::vector<netflow::FlowRecord>& trace, int rounds,
 }
 
 /// Like measure(), but feeding apply_batch() in runner-sized chunks — the
-/// granularity at which the perf-counter PerfScope brackets stage 1 (two
-/// read() syscalls per batch, not per flow). The perf/profiler overhead
-/// comparison must run on this path or it would measure nothing.
+/// granularity at which the engine's stage1.ingest scope charges its perf
+/// phase (two read() syscalls per batch, not per flow). The perf/profiler
+/// overhead comparison must run on this path or it would measure nothing.
 template <typename Attach>
 double measure_batched(const std::vector<netflow::FlowRecord>& trace,
                        int rounds, int passes, Attach&& attach) {
@@ -225,7 +225,7 @@ int main() {
       e2e_base > 0.0 ? (e2e_base - e2e_health) / e2e_base * 100.0 : 0.0;
 
   // Hardware counter + profiler overhead, on the batched ingest path
-  // (PerfScope granularity). Three configurations under full
+  // (stage1.ingest scope granularity). Three configurations under full
   // observability: no perf, +perf counters, +perf counters with the 97 Hz
   // sampling profiler live for the whole measurement. Both deltas share
   // the <= 3% budget.

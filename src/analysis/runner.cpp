@@ -2,6 +2,7 @@
 
 #include "core/engine.hpp"
 #include "obs/flow_trace.hpp"
+#include "obs/scope.hpp"
 
 namespace ipd::analysis {
 
@@ -23,20 +24,17 @@ std::uint64_t BinnedRunner::bin_buffer_bytes() const noexcept {
 
 void BinnedRunner::flush_pending() {
   if (pending_.empty()) return;
+  // One span per hand-off (up to ingest_batch records), never one per flow.
+  const obs::Layer layer("stage1.batch", 1, nullptr, engine_.tracer(),
+                         nullptr);
+  obs::Scope scope(layer);
   engine_.apply_batch(pending_);
+  scope.close({{"flows", static_cast<double>(pending_.size())}});
   pending_.clear();
 }
 
 void BinnedRunner::run_one_cycle(util::Timestamp ts) {
   flush_pending();
-  // Close the stage-1 batch span before stage 2 runs: one span per cycle's
-  // worth of ingest, never one per flow.
-  if (obs::Tracer* tracer = engine_.tracer(); tracer && batch_flows_ > 0) {
-    tracer->span("stage1.batch", batch_start_us_,
-                 tracer->now_us() - batch_start_us_,
-                 {{"flows", static_cast<double>(batch_flows_)}});
-    batch_flows_ = 0;
-  }
   auto stats = engine_.run_cycle(ts);
   // The validation bin buffer is part of the deployment loop's working set;
   // count it so Fig.-20-style memory numbers are honest.
@@ -65,10 +63,13 @@ void BinnedRunner::advance_to(util::Timestamp ts) {
 }
 
 void BinnedRunner::take_snapshot(util::Timestamp ts) {
-  obs::SpanTimer span(engine_.tracer(), "snapshot");
+  // The span covers the snapshot and the LPM build only — not validation
+  // or the callbacks below.
+  const obs::Layer layer("snapshot", 1, nullptr, engine_.tracer(), nullptr);
+  obs::Scope scope(layer);
   const core::Snapshot snapshot = core::take_snapshot(engine_, ts);
   const core::LpmTable table = core::LpmTable::from_snapshot(snapshot);
-  span.set_args({{"ranges", static_cast<double>(snapshot.size())}});
+  scope.close({{"ranges", static_cast<double>(snapshot.size())}});
   if (validation_) {
     for (const auto& record : bin_buffer_) validation_->observe(table, record);
   }
@@ -125,9 +126,6 @@ void BinnedRunner::offer(const netflow::FlowRecord& record) {
   }
   if (record.ts > newest_ts_) newest_ts_ = record.ts;
   resumed_idle_ = false;
-  if (engine_.tracer() != nullptr && batch_flows_++ == 0) {
-    batch_start_us_ = engine_.tracer()->now_us();
-  }
   pending_.push_back(record);
   if (pending_.size() >= config_.ingest_batch) flush_pending();
   if (validation_) bin_buffer_.push_back(record);

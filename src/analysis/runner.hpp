@@ -17,6 +17,9 @@
 // When the engine has a metrics registry attached, the runner fires the
 // `on_metrics` hook once per bin (right after `on_snapshot`), so callers
 // can flush a Prometheus/JSON snapshot at the deployment's output cadence.
+// With a tracer attached it records `stage1.batch` spans per apply_batch
+// and `snapshot` spans over the snapshot plus LPM build (not validation or
+// the callbacks).
 #pragma once
 
 #include <functional>
@@ -106,9 +109,6 @@ class BinnedRunner {
   bool started_ = false;
   bool resumed_idle_ = false;  // resumed and no record offered since
   std::uint64_t snapshots_ = 0;
-  // Stage-1 batch span state (only maintained while a tracer is attached).
-  std::int64_t batch_start_us_ = 0;
-  std::uint64_t batch_flows_ = 0;
 };
 
 }  // namespace ipd::analysis

@@ -82,7 +82,8 @@ CollectorService::CollectorService(core::IpdParams params,
   }
   if (config_.perf != nullptr) {
     engine_.attach_perf(*config_.perf);
-    perf_drain_phase_ = config_.perf->phase("collector.drain");
+    drain_layer_ = obs::Layer("collector.drain", 1, nullptr, nullptr,
+                              config_.perf);
   }
   if (config_.watchdog != nullptr) {
     wd_drain_task_ = config_.watchdog->register_task("collector.drain",
@@ -308,11 +309,10 @@ bool CollectorService::drain_once() {
     while (drained < config_.drain_batch && rings_[i]->try_pop(timed)) {
       const netflow::FlowBatch& batch = *timed.batch;
       if (ring_residency_ != nullptr) {
-        const double residency =
-            static_cast<double>(now_ns - timed.enq_ns) * 1e-9;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          ring_residency_->observe(residency);
-        }
+        // Every record of a batch was enqueued together: one weighted
+        // observation stands for all of them.
+        ring_residency_->observe(
+            static_cast<double>(now_ns - timed.enq_ns) * 1e-9, batch.size());
       }
       for (std::size_t k = 0; k < batch.size(); ++k) {
         if (obs::FlowTracer* tracer = config_.flow_trace) {
@@ -363,13 +363,13 @@ void CollectorService::ipd_loop() {
   // idle polls would be almost all syscall overhead, and the sleep below
   // contributes no task-clock anyway.
   bool was_busy = true;
+  const obs::Layer idle_round;  // detached: idle polls go untimed
   while (running_.load(std::memory_order_relaxed)) {
     if (config_.watchdog != nullptr) config_.watchdog->beat(wd_drain_task_);
-    obs::PerfScope perf_scope(was_busy ? config_.perf : nullptr,
-                              perf_drain_phase_);
+    obs::Scope scope(was_busy ? drain_layer_ : idle_round);
     const bool any = drain_once();
     update_ring_gauges();
-    perf_scope.close();
+    scope.close();
     was_busy = any;
     if (!any) {
       // Idle: yield briefly rather than spin at 100 %.

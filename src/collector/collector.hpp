@@ -206,7 +206,7 @@ class CollectorService {
 
   std::thread ipd_thread_;
   std::atomic<bool> running_{false};
-  int perf_drain_phase_ = -1;
+  obs::Layer drain_layer_;  // collector.drain: busy rounds, perf sink only
   obs::Watchdog::TaskId wd_drain_task_ = 0;  // valid iff config_.watchdog
   obs::Watchdog::TaskId wd_cycle_task_ = 0;
 

@@ -8,6 +8,10 @@
 // pass; either way there is a single copy of the decision logic, applied
 // to identical per-node operation sequences, which is what makes the
 // determinism differentials meaningful.
+//
+// The walk interleaves phases per node, so it accumulates per-phase time
+// into a PhaseAccum; the engine hands each total to its stage2.<phase>
+// obs::Layer once per cycle.
 #pragma once
 
 #include <optional>
@@ -20,7 +24,8 @@
 namespace ipd::core {
 
 /// Per-cycle phase-time accumulator (nanoseconds); timing is skipped
-/// entirely when `enabled` is false (neither metrics nor a tracer).
+/// entirely when `enabled` is false (no phase layer has a sink and no
+/// sampler is wired).
 struct PhaseAccum {
   bool enabled = false;
   std::array<std::int64_t, kNumCyclePhases> ns{};

@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -360,14 +359,31 @@ void IpdEngine::attach_metrics(obs::MetricsRegistry& registry) {
     cut_members_[f] = &registry.gauge(
         "ipd_cut_members", "Cut members (stage-2 parallel units)", labels);
   }
+  rewire_layers();
+}
+
+void IpdEngine::attach_tracer(obs::Tracer& tracer) {
+  const std::unique_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
+  tracer_ = &tracer;
+  rewire_layers();
 }
 
 void IpdEngine::attach_perf(obs::PerfCounters& perf) {
+  const std::unique_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
   perf_ = &perf;
-  perf_stage1_ = perf_->phase("stage1.ingest");
-  perf_stage2_ = perf_->phase("stage2.cycle");
+  rewire_layers();
+}
+
+void IpdEngine::rewire_layers() {
+  // No stage-1 span: the runner records one per batch hand-off itself.
+  stage1_layer_ = obs::Layer("stage1.ingest", 1, nullptr, nullptr, perf_);
+  EngineMetrics* m = metrics_.get();
+  cycle_layer_ = obs::Layer("stage2.cycle", kStage2Lane,
+                            m ? m->cycle_seconds : nullptr, tracer_, perf_);
   for (std::size_t i = 0; i < kNumCyclePhases; ++i) {
-    perf_phase_ids_[i] = perf_->phase(kPhaseSpan[i]);
+    phase_layers_[i] = obs::Layer(kPhaseSpan[i], kStage2Lane,
+                                  m ? m->phase_seconds[i] : nullptr, tracer_,
+                                  perf_);
   }
 }
 
@@ -504,12 +520,12 @@ void IpdEngine::release_staging(std::unique_ptr<Staging> staging) {
 void IpdEngine::apply_batch(const netflow::FlowBatch& batch) noexcept {
   const std::size_t n = batch.size();
   if (n == 0) return;
+  const std::shared_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
   // Scope covers the submitting thread only: bucketing plus its share of
   // the fan-out (it participates in pool_->run). Per-bucket scopes would
   // cost two syscalls per cut member per batch — too much; true per-worker
   // attribution comes from the rdpmc samplers during stage 2 instead.
-  const obs::PerfScope perf_scope(perf_, perf_stage1_);
-  const std::shared_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
+  const obs::Scope scope(stage1_layer_);
   std::unique_ptr<Staging> staging = acquire_staging();
   Staging& st = *staging;
   if (st.masked.size() < n) {  // grow only: rows < n are written first
@@ -690,12 +706,7 @@ void IpdEngine::cycle_family(FamilyState& state, util::Timestamp now,
   pool_->run(units, [&](std::size_t i) {
     // thread_sampler() binds to the *executing* thread (worker or caller),
     // so each unit's rdpmc reads hit that thread's own counter group.
-    if (perf_ != nullptr) {
-      results[i].phases.sampler = perf_->thread_sampler();
-      if (results[i].phases.sampler != nullptr) {
-        results[i].phases.enabled = true;
-      }
-    }
+    if (perf_ != nullptr) results[i].phases.sampler = perf_->thread_sampler();
     const CycleSinks sinks{results[i].decisions.get(),
                            results[i].transitions.get()};
     cycle_over_subtree(state.trie, state.trie.node(state.cut[i]), params_, now,
@@ -734,17 +745,17 @@ void IpdEngine::cycle_family(FamilyState& state, util::Timestamp now,
 
 CycleStats IpdEngine::run_cycle(util::Timestamp now) {
   const std::unique_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::int64_t trace_t0 = tracer_ ? tracer_->now_us() : 0;
-  obs::PerfScope perf_scope(perf_, perf_stage2_);
+  obs::Scope cycle(cycle_layer_, /*always_time=*/true);
   CycleStats out;
   out.now = now;
-  PhaseAccum phases{metrics_ != nullptr || tracer_ != nullptr, {}};
+  // The phase layers share one sink set; a live sampler implies available
+  // counters, so the perf sink alone keeps phase timing on.
+  PhaseAccum phases;
+  phases.enabled = phase_layers_[0].active();
   if (perf_ != nullptr) {
     // Calling-thread sampler covers the single-unit path and spine passes;
     // workers pick up their own inside cycle_family.
     phases.sampler = perf_->thread_sampler();
-    if (phases.sampler != nullptr) phases.enabled = true;
   }
   cycle_family(v4_, now, out, phases);
   cycle_family(v6_, now, out, phases);
@@ -771,61 +782,29 @@ CycleStats IpdEngine::run_cycle(util::Timestamp now) {
   if (tracer_) out.memory_bytes += tracer_->memory_bytes();
   if (perf_) out.memory_bytes += perf_->memory_bytes();
 
+  // Phase time is accumulated across the whole tree walk (and summed over
+  // workers), not contiguous intervals: lay the totals end to end from the
+  // cycle start, in whole microseconds so that on one thread every phase
+  // span ends inside the cycle span.
+  std::int64_t cursor = cycle.start_ns();
   for (std::size_t i = 0; i < kNumCyclePhases; ++i) {
     out.phase_micros[i] = phases.ns[i] / 1000;
+    phase_layers_[i].record(cursor, phases.ns[i],
+                            phases.sampler ? &phases.perf[i] : nullptr);
+    cursor += out.phase_micros[i] * 1000;
   }
-  out.cycle_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+  out.cycle_micros =
+      cycle.close({{"classifications", static_cast<double>(out.classifications)},
+                   {"splits", static_cast<double>(out.splits)},
+                   {"joins", static_cast<double>(out.joins)},
+                   {"drops", static_cast<double>(out.drops)}}) / 1000;
   cycles_run_.fetch_add(1, std::memory_order_relaxed);
   total_classifications_.fetch_add(out.classifications,
                                    std::memory_order_relaxed);
   total_splits_.fetch_add(out.splits, std::memory_order_relaxed);
   total_joins_.fetch_add(out.joins, std::memory_order_relaxed);
   total_drops_.fetch_add(out.drops, std::memory_order_relaxed);
-  if (metrics_) publish_cycle_metrics(out, phases);
-  if (perf_ != nullptr && phases.sampler != nullptr) {
-    for (std::size_t i = 0; i < kNumCyclePhases; ++i) {
-      perf_->add_phase_point(perf_phase_ids_[i], phases.perf[i]);
-    }
-  }
-  const bool perf_active = perf_scope.active();
-  const obs::PerfReading perf_delta = perf_scope.close();
-  if (tracer_) {
-    // Phase time is accumulated across the whole tree walk (and summed
-    // over workers), not contiguous intervals — lay the accumulated
-    // durations end to end from the cycle start so they render as a
-    // breakdown nested under the cycle span.
-    std::int64_t cursor = trace_t0;
-    for (std::size_t i = 0; i < kNumCyclePhases; ++i) {
-      const std::int64_t dur = phases.ns[i] / 1000;
-      tracer_->span(kPhaseSpan[i], cursor, dur, {}, kStage2Lane);
-      cursor += dur;
-    }
-    tracer_->span("stage2.cycle", trace_t0, tracer_->now_us() - trace_t0,
-                  {{"classifications", static_cast<double>(out.classifications)},
-                   {"splits", static_cast<double>(out.splits)},
-                   {"joins", static_cast<double>(out.joins)},
-                   {"drops", static_cast<double>(out.drops)}},
-                  kStage2Lane);
-    // Counter deltas ride a companion span (stage2.cycle already carries
-    // its four structural-event args). Calling-thread counters only — the
-    // per-worker share shows up in the rdpmc per-phase totals.
-    if (perf_active) {
-      const auto cycles =
-          static_cast<double>(perf_delta[obs::PerfEvent::Cycles]);
-      const auto instructions =
-          static_cast<double>(perf_delta[obs::PerfEvent::Instructions]);
-      tracer_->span(
-          "stage2.perf", trace_t0, tracer_->now_us() - trace_t0,
-          {{"cycles", cycles},
-           {"instructions", instructions},
-           {"llc_misses",
-            static_cast<double>(perf_delta[obs::PerfEvent::LlcMisses])},
-           {"ipc", cycles > 0.0 ? instructions / cycles : 0.0}},
-          kStage2Lane);
-    }
-  }
+  if (metrics_) publish_cycle_metrics(out);
   return out;
 }
 
@@ -975,15 +954,11 @@ void IpdEngine::flush_ingest_metrics() {
   if (metrics_) flush_deltas_locked();
 }
 
-void IpdEngine::publish_cycle_metrics(const CycleStats& out,
-                                      const PhaseAccum& phases) {
+void IpdEngine::publish_cycle_metrics(const CycleStats& out) {
+  // Cycle and phase timings reach the histograms through their layers.
   EngineMetrics& m = *metrics_;
   flush_deltas_locked();
   m.cycles_total->inc();
-  m.cycle_seconds->observe(static_cast<double>(out.cycle_micros) * 1e-6);
-  for (std::size_t i = 0; i < kNumCyclePhases; ++i) {
-    m.phase_seconds[i]->observe(static_cast<double>(phases.ns[i]) * 1e-9);
-  }
   m.events[static_cast<std::size_t>(CyclePhase::Expire)]->inc(out.drops);
   m.events[static_cast<std::size_t>(CyclePhase::Classify)]->inc(
       out.classifications);

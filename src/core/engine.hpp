@@ -52,15 +52,18 @@
 //
 // Observability: attach_metrics() hooks the engine into an
 // obs::MetricsRegistry — per-family/per-ingress-link ingest counters,
-// per-phase stage-2 timing histograms, trie size/memory gauges, shard
-// occupancy. With no registry attached the hot paths carry a single null
-// check and nothing else; phase timing is only measured while metrics or a
-// tracer are attached. attach_decision_log() records every structural
-// stage-2 decision; attach_tracer() emits per-cycle and per-phase spans;
-// attach_cycle_deltas() streams demotions/classifications; attach_perf()
-// charges batches and cycles to perf phases; attach_flow_trace() records
-// provenance hops for hash-sampled flows. Every sink must outlive the
-// engine (or be replaced before it is destroyed).
+// stage-2 timing histograms, trie size/memory gauges, shard occupancy.
+// attach_decision_log() records every structural stage-2 decision;
+// attach_cycle_deltas() streams demotions/classifications;
+// attach_flow_trace() records provenance hops for hash-sampled flows.
+// Timing is one obs::Scope per obs::Layer (obs/scope.hpp): stage1.ingest
+// per apply_batch, stage2.cycle per run_cycle, and the five stage2.<phase>
+// layers fed the cycle's phase totals. attach_metrics(), attach_tracer()
+// and attach_perf() rewire their histogram, span and perf-phase sinks, so
+// the stage2.cycle span, ipd_cycle_seconds and CycleStats::cycle_micros
+// are one measurement. With nothing attached the stage-1 scope is one
+// branch and phase timing is off. Every sink must outlive the engine (or
+// be replaced before it is destroyed).
 #pragma once
 
 #include <array>
@@ -75,6 +78,7 @@
 
 #include "core/cycle_logic.hpp"
 #include "core/engine_base.hpp"
+#include "obs/scope.hpp"
 
 namespace ipd::core {
 
@@ -223,7 +227,7 @@ class IpdEngine {
   DecisionLog* decision_log() const noexcept { return decision_log_; }
 
   /// Emit per-cycle/per-phase spans into `tracer` from now on.
-  void attach_tracer(obs::Tracer& tracer) noexcept { tracer_ = &tracer; }
+  void attach_tracer(obs::Tracer& tracer);
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
   /// Append every stage-2 demotion/classification transition into `log`
@@ -417,7 +421,10 @@ class IpdEngine {
                   const CycleSinks& sinks);
 
   void flush_deltas_locked();
-  void publish_cycle_metrics(const CycleStats& out, const PhaseAccum& phases);
+  void publish_cycle_metrics(const CycleStats& out);
+  /// Re-derive every timed layer from the attached metrics, tracer and
+  /// perf counters. Exclusive structure lock required.
+  void rewire_layers();
 
   IpdParams params_;
   EngineConfig config_;
@@ -469,10 +476,10 @@ class IpdEngine {
   obs::PerfCounters* perf_ = nullptr;
   obs::FlowTracer* flow_trace_ = nullptr;
   bool flow_trace_synth_decode_ = false;
-  // Perf phase ids, cached at attach_perf (phase() takes a mutex).
-  int perf_stage1_ = -1;
-  int perf_stage2_ = -1;
-  std::array<int, kNumCyclePhases> perf_phase_ids_{-1, -1, -1, -1, -1};
+  // Timed layers, rewired by every attach_metrics/tracer/perf.
+  obs::Layer stage1_layer_;
+  obs::Layer cycle_layer_;
+  std::array<obs::Layer, kNumCyclePhases> phase_layers_;
 };
 
 /// Names kept for callers written against the two-engine API: the sharded

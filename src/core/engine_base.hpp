@@ -60,11 +60,12 @@ struct CycleStats {
   std::uint64_t memory_bytes = 0;     // exact trie heap (arena + per-node
                                       // tables) + observability layers
                                       // (+ bin buffer, see runner)
-  std::int64_t cycle_micros = 0;      // wall-clock stage-2 runtime
-  // Per-phase wall time, indexed by CyclePhase. Only populated while
-  // metrics are attached (timing every leaf visit is not free). For the
-  // sharded engine this is summed CPU time across worker threads, so it
-  // can exceed cycle_micros.
+  std::int64_t cycle_micros = 0;      // wall-clock stage-2 runtime: the
+                                      // stage2.cycle scope's interval
+  // Per-phase wall time, indexed by CyclePhase. Only populated while a
+  // stage-2 phase layer has a sink (metrics, tracer or perf attached):
+  // timing every leaf visit is not free. Above a parallel cut this is
+  // summed time across worker threads, so it can exceed cycle_micros.
   std::array<std::int64_t, kNumCyclePhases> phase_micros{};
 };
 

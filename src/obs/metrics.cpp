@@ -33,12 +33,12 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
 }
 
-void Histogram::observe(double v) noexcept {
+void Histogram::observe(double v, std::uint64_t n) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  buckets_[idx].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v * static_cast<double>(n), std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -242,17 +242,6 @@ std::size_t MetricsRegistry::memory_bytes() const {
     }
   }
   return bytes;
-}
-
-// -------------------------------------------------------------- ScopedTimer
-
-ScopedTimer::ScopedTimer(Histogram* hist) noexcept : hist_(hist) {
-  if (hist_ != nullptr) start_ns_ = monotonic_ns();
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (hist_ == nullptr) return;
-  hist_->observe(static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
 }
 
 // ------------------------------------------------- Logging drop-rate bridge

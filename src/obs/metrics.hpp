@@ -67,7 +67,9 @@ class Histogram {
   /// a +Inf overflow bucket is implicit.
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double v) noexcept;
+  /// Record `n` observations of the same value `v` (three atomic RMWs
+  /// whatever `n` is).
+  void observe(double v, std::uint64_t n = 1) noexcept;
 
   std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -165,23 +167,8 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Family>> families_;  // registration order
 };
 
-/// Records the elapsed wall time into a histogram (in seconds) when it
-/// leaves scope. A null histogram disables it without branching at the
-/// call sites.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* hist) noexcept;
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::int64_t start_ns_ = 0;
-};
-
-/// Monotonic clock in nanoseconds (exposed for phase accumulators).
+/// Monotonic clock in nanoseconds: the clock of obs::Scope, the tracer and
+/// the stage-2 phase accumulators.
 std::int64_t monotonic_ns() noexcept;
 
 /// Bridge util::logging's rate-limit drop accounting into `registry`:

@@ -434,19 +434,21 @@ bool PerfCounters::read_current(PerfReading& out) noexcept {
   return state != nullptr && state->group.read(out);
 }
 
-void PerfCounters::add_phase_delta(int phase_id,
-                                   const PerfReading& delta) noexcept {
-  if (phase_id < 0 || phase_id >= kMaxPhases) return;
+void PerfCounters::add_phase_since(int phase_id,
+                                   const PerfReading& start) noexcept {
+  PerfReading end;
+  if (phase_id < 0 || phase_id >= kMaxPhases || !read_current(end)) return;
   PhaseSlot& slot = (*phases_)[static_cast<std::size_t>(phase_id)];
   slot.scopes.fetch_add(1, std::memory_order_relaxed);
   for (std::size_t i = 0; i < kNumPerfEvents; ++i) {
-    if (delta.value[i] != 0) {
-      slot.value[i].fetch_add(delta.value[i], std::memory_order_relaxed);
+    if (end.value[i] != start.value[i]) {
+      slot.value[i].fetch_add(end.value[i] - start.value[i],
+                              std::memory_order_relaxed);
     }
   }
-  slot.time_enabled_ns.fetch_add(delta.time_enabled_ns,
+  slot.time_enabled_ns.fetch_add(end.time_enabled_ns - start.time_enabled_ns,
                                  std::memory_order_relaxed);
-  slot.time_running_ns.fetch_add(delta.time_running_ns,
+  slot.time_running_ns.fetch_add(end.time_running_ns - start.time_running_ns,
                                  std::memory_order_relaxed);
 }
 
@@ -565,32 +567,6 @@ std::size_t PerfCounters::memory_bytes() const noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
   return sizeof(*this) + sizeof(*phases_) +
          threads_.size() * sizeof(ThreadState);
-}
-
-// ---------------------------------------------------------------------------
-// PerfScope
-
-PerfScope::PerfScope(PerfCounters* perf, int phase_id) noexcept {
-  if (perf == nullptr || phase_id < 0 || !perf->available()) return;
-  if (!perf->read_current(start_)) return;
-  perf_ = perf;
-  phase_ = phase_id;
-}
-
-PerfReading PerfScope::close() noexcept {
-  PerfReading delta{};
-  if (perf_ == nullptr) return delta;
-  PerfReading end;
-  if (perf_->read_current(end)) {
-    for (std::size_t i = 0; i < kNumPerfEvents; ++i) {
-      delta.value[i] = end.value[i] - start_.value[i];
-    }
-    delta.time_enabled_ns = end.time_enabled_ns - start_.time_enabled_ns;
-    delta.time_running_ns = end.time_running_ns - start_.time_running_ns;
-    perf_->add_phase_delta(phase_, delta);
-  }
-  perf_ = nullptr;
-  return delta;
 }
 
 }  // namespace ipd::obs

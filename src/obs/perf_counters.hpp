@@ -9,19 +9,21 @@
 // and branch misses — and accumulates counter deltas per named phase
 // ("stage1.ingest", "stage2.cycle", "collector.drain", ...).
 //
-// Usage: the owner registers phases once (`phase("stage1.ingest")`), hot
-// paths bracket work with a PerfScope, and readers pull aggregated
-// totals via snapshot()/to_json() or publish derived IPC / miss-rate
-// gauges into a MetricsRegistry (and from there the TSDB + health rules).
+// Usage: a phase is the perf sink of an obs::Layer (obs/scope.hpp). Wiring
+// the layer registers the phase; an obs::Scope over it brackets work —
+// feeding the layer's histogram and span from the same interval — and
+// readers pull aggregated totals via snapshot()/to_json() or publish
+// derived IPC / miss-rate gauges into a MetricsRegistry (and from there
+// the TSDB + health rules).
 //
-// Cost model: a PerfScope is two read(2) syscalls (~1-2 us each) on the
-// group leader, so scopes go around *batches* — a 4096-record ingest
-// batch, a whole stage-2 cycle, one collector drain round — never around
-// per-node work. For per-stage-2-phase attribution (expire vs classify vs
-// split...) an opt-in rdpmc path (PerfThreadSampler) reads cycles /
-// instructions / LLC-misses from userspace via the perf mmap page seqlock
-// protocol in ~100 ns, cheap enough for cycle_logic's per-node phase
-// boundaries.
+// Cost model: a scope charging a phase is two read(2) syscalls (~1-2 us
+// each) on the group leader, so scopes go around *batches* — a 4096-record
+// ingest batch, a whole stage-2 cycle, one collector drain round — never
+// around per-node work. For per-stage-2-phase attribution (expire vs
+// classify vs split...) an opt-in rdpmc path (PerfThreadSampler) reads
+// cycles / instructions / LLC-misses from userspace via the perf mmap page
+// seqlock protocol in ~100 ns, cheap enough for cycle_logic's per-node
+// phase boundaries.
 //
 // Degradation ladder (always graceful, never fatal):
 //   * full:    PMU exposed, perf_event_paranoid <= 2 -> all six events
@@ -29,8 +31,8 @@
 //              ENOENT) -> software task-clock only; hardware-derived
 //              columns are simply absent
 //   * none:    perf_event_open denied entirely (EACCES/ENOSYS, seccomp,
-//              IPD_PERF_DISABLE=1) -> every scope is inert, a single
-//              warn-once explains why, available() == false
+//              IPD_PERF_DISABLE=1) -> layers wired to it drop their perf
+//              sink, a single warn-once explains why, available() == false
 #pragma once
 
 #include <array>
@@ -84,7 +86,7 @@ struct PerfPoint {
 /// Aggregated counter deltas for one named phase, across all threads.
 struct PerfPhaseTotals {
   std::string name;
-  std::uint64_t scopes = 0;  // completed PerfScopes charged here
+  std::uint64_t scopes = 0;  // completed scopes / phase points charged here
   std::array<std::uint64_t, kNumPerfEvents> value{};
   std::uint64_t time_enabled_ns = 0;
   std::uint64_t time_running_ns = 0;
@@ -162,14 +164,15 @@ class PerfCounters {
   /// clear, non-x86). Creates the thread's group on first call.
   PerfThreadSampler* thread_sampler() noexcept;
 
-  /// Read the calling thread's current group totals (two uses: PerfScope
-  /// brackets, tests). False when unavailable.
+  /// Read the calling thread's current group totals (obs::Scope brackets
+  /// its interval with two of these). False when unavailable.
   bool read_current(PerfReading& out) noexcept;
 
-  /// Accumulate one scope's delta into `phase_id`'s totals.
-  void add_phase_delta(int phase_id, const PerfReading& delta) noexcept;
-  /// Accumulate rdpmc-attributed per-phase points (the engines fold
-  /// cycle_logic's PhaseAccum in here after each cycle).
+  /// Charge the calling thread's counters since `start` (a read_current()
+  /// reading) to `phase_id` (-1: ignored) — the close of an obs::Scope.
+  void add_phase_since(int phase_id, const PerfReading& start) noexcept;
+  /// Accumulate rdpmc-attributed per-phase points (the engine folds
+  /// cycle_logic's PhaseAccum in here after each cycle, via Layer::record).
   void add_phase_point(int phase_id, const PerfPoint& delta) noexcept;
 
   std::vector<PerfPhaseTotals> snapshot() const;
@@ -201,30 +204,6 @@ class PerfCounters {
   std::vector<std::unique_ptr<ThreadState>> threads_;
   std::unique_ptr<std::array<PhaseSlot, kMaxPhases>> phases_;
   std::atomic<int> phase_count_{0};
-};
-
-/// RAII bracket charging the enclosed work's counter deltas to one phase.
-/// Inert (a single branch) when `perf` is null, unavailable, or the phase
-/// id is -1. Non-reentrant per (thread, phase) only in the sense that
-/// nested scopes double-charge the outer phase — keep phases disjoint.
-class PerfScope {
- public:
-  PerfScope() = default;
-  PerfScope(PerfCounters* perf, int phase_id) noexcept;
-  ~PerfScope() { close(); }
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-
-  bool active() const noexcept { return perf_ != nullptr; }
-
-  /// End the scope now (idempotent); returns the charged delta (zeros
-  /// when the scope was inert), e.g. for tracer span args.
-  PerfReading close() noexcept;
-
- private:
-  PerfCounters* perf_ = nullptr;
-  int phase_ = -1;
-  PerfReading start_{};
 };
 
 }  // namespace ipd::obs

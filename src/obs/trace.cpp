@@ -24,15 +24,10 @@ namespace {
 void append_event_json(std::string& out, const TraceEvent& event) {
   out += "{\"name\":\"";
   out += event.name;
-  out += "\",\"cat\":\"ipd\",\"ph\":\"";
-  out += event.phase;
-  out += '"';
-  if (event.phase == 'i') out += ",\"s\":\"t\"";
-  out += util::format(",\"ts\":%lld", static_cast<long long>(event.ts_us));
-  if (event.phase == 'X') {
-    out += util::format(",\"dur\":%lld", static_cast<long long>(event.dur_us));
-  }
-  out += util::format(",\"pid\":1,\"tid\":%u", event.tid);
+  out += "\",\"cat\":\"ipd\",\"ph\":\"X\"";
+  out += util::format(",\"ts\":%lld,\"dur\":%lld,\"pid\":1,\"tid\":%u",
+                      static_cast<long long>(event.ts_us),
+                      static_cast<long long>(event.dur_us), event.tid);
   if (event.nargs > 0) {
     out += ",\"args\":{";
     for (std::uint8_t i = 0; i < event.nargs; ++i) {
@@ -73,26 +68,11 @@ Tracer::Tracer(std::size_t capacity)
   ring_.reserve(capacity_);
 }
 
-std::int64_t Tracer::now_us() const noexcept {
-  return (monotonic_ns() - epoch_ns_) / 1000;
-}
-
-void Tracer::record_event(const TraceEvent& event) noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(event);
-    ++next_seq_;
-  } else {
-    ring_[static_cast<std::size_t>(next_seq_++ % capacity_)] = event;
-  }
-}
-
 void Tracer::span(const char* name, std::int64_t ts_us, std::int64_t dur_us,
                   std::initializer_list<TraceArg> args,
                   std::uint32_t tid) noexcept {
   TraceEvent event;
   event.name = name;
-  event.phase = 'X';
   event.ts_us = ts_us;
   event.dur_us = dur_us < 0 ? 0 : dur_us;
   event.tid = tid;
@@ -100,21 +80,13 @@ void Tracer::span(const char* name, std::int64_t ts_us, std::int64_t dur_us,
     if (event.nargs == event.args.size()) break;
     event.args[event.nargs++] = arg;
   }
-  record_event(event);
-}
-
-void Tracer::instant(const char* name, std::initializer_list<TraceArg> args,
-                     std::uint32_t tid) noexcept {
-  TraceEvent event;
-  event.name = name;
-  event.phase = 'i';
-  event.ts_us = now_us();
-  event.tid = tid;
-  for (const TraceArg& arg : args) {
-    if (event.nargs == event.args.size()) break;
-    event.args[event.nargs++] = arg;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+    ++next_seq_;
+  } else {
+    ring_[static_cast<std::size_t>(next_seq_++ % capacity_)] = event;
   }
-  record_event(event);
 }
 
 std::size_t Tracer::size() const {
@@ -185,13 +157,11 @@ void Tracer::dump_for_crash(const char* path, int signum) noexcept {
     const TraceEvent& e = ring_[static_cast<std::size_t>(seq % capacity_)];
     if (e.name == nullptr) continue;
     n = std::snprintf(buf, sizeof(buf),
-                      "%s{\"name\":\"%s\",\"cat\":\"ipd\",\"ph\":\"%c\","
+                      "%s{\"name\":\"%s\",\"cat\":\"ipd\",\"ph\":\"X\","
                       "\"ts\":%lld,\"dur\":%lld,\"pid\":1,\"tid\":%u}",
                       seq == first ? "" : ",", e.name,
-                      e.phase == 'i' ? 'i' : 'X',
                       static_cast<long long>(e.ts_us),
-                      static_cast<long long>(e.phase == 'X' ? e.dur_us : 0),
-                      e.tid);
+                      static_cast<long long>(e.dur_us), e.tid);
     if (n > 0) (void)!::write(fd, buf, static_cast<std::size_t>(n));
   }
   (void)!::write(fd, "]}\n", 3);
@@ -204,31 +174,6 @@ void Tracer::install_crash_handler(const std::string& path) {
   for (const int sig : {SIGSEGV, SIGBUS, SIGFPE, SIGABRT}) {
     signal(sig, ipd_trace_crash_handler);
   }
-}
-
-SpanTimer::SpanTimer(Tracer* tracer, const char* name) noexcept
-    : tracer_(tracer), name_(name) {
-  if (tracer_) start_us_ = tracer_->now_us();
-}
-
-void SpanTimer::set_args(std::initializer_list<TraceArg> args) noexcept {
-  nargs_ = 0;
-  for (const TraceArg& arg : args) {
-    if (nargs_ == args_.size()) break;
-    args_[nargs_++] = arg;
-  }
-}
-
-SpanTimer::~SpanTimer() {
-  if (!tracer_) return;
-  TraceEvent event;
-  event.name = name_;
-  event.phase = 'X';
-  event.ts_us = start_us_;
-  event.dur_us = tracer_->now_us() - start_us_;
-  event.args = args_;
-  event.nargs = nargs_;
-  tracer_->record_event(event);
 }
 
 }  // namespace ipd::obs

@@ -10,6 +10,8 @@
 // Cost model: one mutex-guarded fixed-size slot write per span. Producers
 // emit a handful of spans per stage-2 cycle and one per stage-1 batch —
 // never one per flow — so tracing stays far below the ingest budget.
+// Timed code records spans through obs::Scope (obs/scope.hpp), which
+// hands the same interval to the metrics histogram and the perf phase.
 // Event names and arg keys must be string literals (static storage): the
 // ring stores the pointers and never allocates per event.
 #pragma once
@@ -30,11 +32,11 @@ struct TraceArg {
   double value = 0.0;
 };
 
-/// One fixed-size flight-recorder slot. `ts_us`/`dur_us` are microseconds
-/// on the tracer's monotonic clock (0 = tracer construction).
+/// One fixed-size flight-recorder slot: a complete span ('X' in the
+/// trace-event model). `ts_us`/`dur_us` are microseconds on the tracer's
+/// monotonic clock (0 = tracer construction).
 struct TraceEvent {
   const char* name = "";
-  char phase = 'X';  // 'X' complete span, 'i' instant
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;
   std::uint32_t tid = 1;
@@ -48,22 +50,17 @@ class Tracer {
 
   static constexpr std::size_t kDefaultCapacity = 16384;
 
-  /// Microseconds since tracer construction (the `ts` clock of every
-  /// recorded event).
-  std::int64_t now_us() const noexcept;
+  /// A monotonic_ns() reading as microseconds since tracer construction:
+  /// the `ts` clock of every recorded event.
+  std::int64_t ts_us(std::int64_t mono_ns) const noexcept {
+    return (mono_ns - epoch_ns_) / 1000;
+  }
 
   /// Record a complete span ('X'). Extra args beyond the slot's capacity
   /// (4) are dropped. Thread-safe.
   void span(const char* name, std::int64_t ts_us, std::int64_t dur_us,
             std::initializer_list<TraceArg> args = {},
             std::uint32_t tid = 1) noexcept;
-
-  /// Record an instant event ('i') at the current time.
-  void instant(const char* name, std::initializer_list<TraceArg> args = {},
-               std::uint32_t tid = 1) noexcept;
-
-  /// Record a fully built event verbatim (span()/instant() are wrappers).
-  void record_event(const TraceEvent& event) noexcept;
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const;
@@ -103,28 +100,6 @@ class Tracer {
   mutable std::mutex mutex_;
   std::vector<TraceEvent> ring_;
   std::uint64_t next_seq_ = 0;
-};
-
-/// Records one complete span over its own lifetime. Usage:
-///   { SpanTimer span(tracer, "snapshot"); ...work...; }
-/// A null tracer disables it without branching at the call site. Arguments
-/// can be attached before destruction via set_args().
-class SpanTimer {
- public:
-  SpanTimer(Tracer* tracer, const char* name) noexcept;
-  ~SpanTimer();
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
-  void set_args(std::initializer_list<TraceArg> args) noexcept;
-
- private:
-  Tracer* tracer_;
-  const char* name_;
-  std::int64_t start_us_ = 0;
-  std::array<TraceArg, 4> args_{};
-  std::uint8_t nargs_ = 0;
 };
 
 }  // namespace ipd::obs

@@ -5,6 +5,8 @@
 
 #include <thread>
 
+#include "obs/metrics.hpp"
+
 namespace ipd::collector {
 namespace {
 
@@ -174,6 +176,32 @@ TEST(Collector, RingOverflowCountsDrops) {
   const std::size_t accepted = service.submit_records(0, flows);
   EXPECT_LT(accepted, flows.size());
   EXPECT_EQ(service.stats().flows_dropped_ring, flows.size() - accepted);
+}
+
+TEST(Collector, RingResidencyObservesEveryDrainedFlow) {
+  // Residency is observed once per drained batch, weighted by its record
+  // count: the histogram still counts every flow exactly once.
+  obs::MetricsRegistry registry;
+  CollectorConfig config;
+  config.metrics = &registry;
+  config.stat_time.activity_threshold = 1;
+  CollectorService service(tiny_params(), config, 2);
+  service.start();
+  std::size_t submitted = 0;
+  for (int round = 0; round < 5; ++round) {
+    const auto flows = make_flows(1000 + round * 60, 97, {1, 0}, 0x0A000000u);
+    submitted += service.submit_records(0, flows);
+    submitted += service.submit_records(1, flows);
+  }
+  service.stop();
+  ASSERT_GT(submitted, 0u);
+  EXPECT_EQ(service.stats().flows_enqueued, submitted);
+  std::uint64_t residency_count = 0;
+  for (const auto& family : registry.collect()) {
+    if (family.name != "ipd_ring_residency_seconds") continue;
+    for (const auto& sample : family.samples) residency_count += sample.count;
+  }
+  EXPECT_EQ(residency_count, submitted);
 }
 
 TEST(Collector, ConcurrentSourcesStress) {

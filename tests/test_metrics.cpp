@@ -1,4 +1,5 @@
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 
 #include <gtest/gtest.h>
 
@@ -221,19 +222,39 @@ TEST(Registry, MemoryBytesGrowsWithInstruments) {
   EXPECT_GT(registry.memory_bytes(), 100 * sizeof(Counter));
 }
 
-TEST(ScopedTimer, RecordsElapsedSeconds) {
+TEST(Scope, RecordsElapsedSeconds) {
   Histogram h(Histogram::exponential_bounds(1e-6, 10.0, 8));
+  const Layer layer("timed", 1, &h, nullptr, nullptr);
+  std::int64_t ns = 0;
   {
-    ScopedTimer timer(&h);
+    Scope scope(layer);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+    ns = scope.close();
+  }  // the destructor after close() must not observe again
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GE(h.sum(), 0.002);
   EXPECT_LT(h.sum(), 5.0);  // sanity: seconds, not ns
+  EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(ns) * 1e-9);
 }
 
-TEST(ScopedTimer, NullHistogramIsInert) {
-  ScopedTimer timer(nullptr);  // must not crash on destruction
+TEST(Scope, NullHistogramIsInert) {
+  const Layer layer("untimed", 1, nullptr, nullptr, nullptr);
+  Scope scope(layer);  // must not crash on destruction
+  EXPECT_EQ(scope.start_ns(), 0);
+}
+
+TEST(Histogram, WeightedObserveEqualsRepeatedObserves) {
+  const auto bounds = Histogram::exponential_bounds(1e-6, 4.0, 12);
+  Histogram single(bounds);
+  Histogram weighted(bounds);
+  for (const double v : {3e-6, 2e-4, 0.5, 100.0}) {
+    for (int i = 0; i < 37; ++i) single.observe(v);
+    weighted.observe(v, 37);
+  }
+  weighted.observe(1e-3, 0);  // n = 0 changes nothing
+  EXPECT_EQ(weighted.bucket_counts(), single.bucket_counts());
+  EXPECT_EQ(weighted.count(), single.count());
+  EXPECT_NEAR(weighted.sum(), single.sum(), 1e-9 * single.sum());
 }
 
 TEST(Clock, MonotonicNsAdvances) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 
 namespace ipd::obs {
 namespace {
@@ -42,14 +43,16 @@ TEST(PerfCountersDegraded, SimulatedEaccesIsInert) {
   EXPECT_FALSE(perf.read_current(reading));
   EXPECT_EQ(perf.thread_sampler(), nullptr);
 
-  // Scopes on a degraded instance are fully inert: no syscalls, no
-  // counting, no deltas — the engine's hot path pays nothing.
-  const int phase = perf.phase("stage1.ingest");
-  ASSERT_GE(phase, 0);
+  // A layer wired to a degraded instance drops its perf sink, so scopes
+  // over it are fully inert: no syscalls, no counting, no deltas — the
+  // engine's hot path pays nothing. The phase is still registered.
+  const Layer layer("stage1.ingest", 1, nullptr, nullptr, &perf);
+  EXPECT_FALSE(layer.active());
   {
-    PerfScope scope(&perf, phase);
-    EXPECT_FALSE(scope.active());
+    Scope scope(layer);
+    EXPECT_EQ(scope.start_ns(), 0);  // no clock read either
     spin_for_a_bit();
+    EXPECT_EQ(scope.close(), 0);
   }
   const auto snapshot = perf.snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
@@ -94,13 +97,16 @@ TEST(PerfCounters, PhaseRegistrationIsIdempotentAndBounded) {
   EXPECT_EQ(perf.phase("stage1.ingest"), a);  // same name, same id
 
   // Fill the table; past kMaxPhases registration degrades to -1 and a
-  // scope on -1 is a no-op rather than an out-of-bounds write.
+  // layer whose phase got -1 has no perf sink: its scopes are no-ops
+  // rather than out-of-bounds writes.
   for (int i = 0; i < PerfCounters::kMaxPhases + 4; ++i) {
     perf.phase("filler." + std::to_string(i));
   }
   const int overflow = perf.phase("one.too.many");
   EXPECT_EQ(overflow, -1);
-  { PerfScope scope(&perf, overflow); }
+  const Layer layer("one.too.many", 1, nullptr, nullptr, &perf);
+  EXPECT_FALSE(layer.active());
+  { Scope scope(layer); }
   EXPECT_EQ(perf.snapshot().size(),
             static_cast<std::size_t>(PerfCounters::kMaxPhases));
 }
@@ -111,10 +117,10 @@ TEST(PerfCounters, ScopesAccumulateTaskClock) {
     GTEST_SKIP() << "perf_event_open unavailable here (errno="
                  << perf.open_errno() << ")";
   }
-  const int phase = perf.phase("test.spin");
+  const Layer layer("test.spin", 1, nullptr, nullptr, &perf);
+  EXPECT_TRUE(layer.active());
   for (int i = 0; i < 3; ++i) {
-    PerfScope scope(&perf, phase);
-    EXPECT_TRUE(scope.active());
+    Scope scope(layer);
     spin_for_a_bit();
   }
   const auto snapshot = perf.snapshot();
@@ -129,29 +135,31 @@ TEST(PerfCounters, ScopesAccumulateTaskClock) {
   }
 }
 
-TEST(PerfCounters, ScopeCloseReturnsTheDelta) {
+TEST(PerfCounters, ScopeCloseChargesThePhaseOnce) {
   PerfCounters perf;
   if (!perf.available()) {
     GTEST_SKIP() << "perf_event_open unavailable here";
   }
-  const int phase = perf.phase("test.close");
-  PerfScope scope(&perf, phase);
+  const Layer layer("test.close", 1, nullptr, nullptr, &perf);
+  Scope scope(layer);
   spin_for_a_bit();
-  const PerfReading delta = scope.close();
-  if (perf.event_available(PerfEvent::TaskClock)) {
-    EXPECT_GT(delta[PerfEvent::TaskClock], 0u);
-  }
-  // close() is terminal: the destructor must not double-count.
+  const std::int64_t ns = scope.close();
+  EXPECT_GT(ns, 0);
+  EXPECT_EQ(scope.close(), ns);  // idempotent: same interval, no new charge
   const auto snapshot = perf.snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
+  if (perf.event_available(PerfEvent::TaskClock)) {
+    EXPECT_GT(snapshot[0][PerfEvent::TaskClock], 0u);
+  }
+  // close() is terminal: the destructor must not double-count.
   EXPECT_EQ(snapshot[0].scopes, 1u);
 }
 
 TEST(PerfCounters, PublishExportsGaugesWithPhaseLabels) {
   PerfCounters perf;  // works degraded too: gauges exist either way
-  const int phase = perf.phase("test.publish");
+  const Layer layer("test.publish", 1, nullptr, nullptr, &perf);
   {
-    PerfScope scope(&perf, phase);
+    Scope scope(layer);
     spin_for_a_bit();
   }
   MetricsRegistry registry;
@@ -176,7 +184,9 @@ TEST(PerfCounters, PublishExportsGaugesWithPhaseLabels) {
 
 TEST(PerfCounters, ConcurrentScopesFromManyThreads) {
   PerfCounters perf;
-  const int phase = perf.phase("test.mt");
+  Histogram hist(Histogram::exponential_bounds(1e-6, 10.0, 8));
+  Tracer tracer(1024);
+  const Layer layer("test.mt", 1, &hist, &tracer, &perf);
   constexpr int kThreads = 4;
   constexpr int kScopesPerThread = 50;
   std::vector<std::thread> threads;
@@ -184,29 +194,38 @@ TEST(PerfCounters, ConcurrentScopesFromManyThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kScopesPerThread; ++i) {
-        PerfScope scope(&perf, phase);
+        Scope scope(layer);
         volatile int sink = 0;
         for (int k = 0; k < 1000; ++k) sink += k;
       }
     });
   }
   for (auto& thread : threads) thread.join();
+  // Every scope reached the histogram and the trace ring, whatever the
+  // counters could do.
+  constexpr std::uint64_t kScopes = kThreads * kScopesPerThread;
+  EXPECT_EQ(hist.count(), kScopes);
+  EXPECT_EQ(tracer.total_recorded(), kScopes);
   const auto snapshot = perf.snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
   if (perf.available()) {
-    EXPECT_EQ(snapshot[0].scopes,
-              static_cast<std::uint64_t>(kThreads) * kScopesPerThread);
+    EXPECT_EQ(snapshot[0].scopes, kScopes);
   } else {
-    EXPECT_EQ(snapshot[0].scopes, 0u);  // degraded scopes are inert
+    EXPECT_EQ(snapshot[0].scopes, 0u);  // degraded perf sink is inert
   }
 }
 
 TEST(PerfCounters, NullCountersScopeIsANoOp) {
-  // Engines pass perf_ = nullptr when nothing is attached.
-  PerfScope scope(nullptr, 0);
-  EXPECT_FALSE(scope.active());
-  const PerfReading delta = scope.close();
-  EXPECT_EQ(delta[PerfEvent::TaskClock], 0u);
+  // Engines wire perf = nullptr when nothing is attached.
+  const Layer layer("test.null", 1, nullptr, nullptr, nullptr);
+  EXPECT_FALSE(layer.active());
+  Scope scope(layer);
+  EXPECT_EQ(scope.start_ns(), 0);
+  EXPECT_EQ(scope.close(), 0);
+  // A detached layer still times when asked to (run_cycle's cycle_micros).
+  Scope timed(layer, /*always_time=*/true);
+  spin_for_a_bit();
+  EXPECT_GT(timed.close(), 0);
 }
 
 TEST(PerfCounters, MemoryBytesIsAccounted) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
+#include <thread>
+
 #include "core/engine.hpp"
+#include "obs/trace.hpp"
 #include "topology/builder.hpp"
 #include "workload/universe.hpp"
 
@@ -109,6 +114,40 @@ TEST(Runner, CycleStatsCanBeDisabled) {
   runner.finish();
   EXPECT_TRUE(runner.cycles().empty());
   EXPECT_GT(engine.stats().cycles_run, 0u);
+}
+
+TEST(Runner, SnapshotSpanExcludesTheCallbacks) {
+  // The snapshot span times the snapshot and the LPM build; whatever the
+  // callbacks do afterwards (writing files, metrics, health) is not part
+  // of it.
+  core::IpdEngine engine(tiny_params());
+  obs::Tracer tracer;
+  engine.attach_tracer(tracer);
+  BinnedRunner runner(engine, nullptr);
+  constexpr auto kCallback = std::chrono::milliseconds(30);
+  runner.on_snapshot = [&](util::Timestamp, const core::Snapshot&,
+                           const core::LpmTable&) {
+    std::this_thread::sleep_for(kCallback);
+  };
+  for (int minute = 0; minute < 11; ++minute) {
+    runner.offer(rec(minute * 60, IpAddress::v4(1u << 24), LinkId{1, 0}));
+  }
+  runner.finish();
+  std::size_t snapshot_spans = 0;
+  std::size_t batch_spans = 0;
+  for (const obs::TraceEvent& event : tracer.tail()) {
+    if (std::strcmp(event.name, "stage1.batch") == 0) {
+      ++batch_spans;
+      EXPECT_EQ(event.tid, 1u);
+    }
+    if (std::strcmp(event.name, "snapshot") != 0) continue;
+    ++snapshot_spans;
+    EXPECT_EQ(event.tid, 1u);
+    EXPECT_LT(event.dur_us, std::chrono::microseconds(kCallback).count());
+  }
+  EXPECT_EQ(snapshot_spans, runner.snapshots_taken());
+  EXPECT_GE(snapshot_spans, 2u);
+  EXPECT_GE(batch_spans, 1u);
 }
 
 }  // namespace
