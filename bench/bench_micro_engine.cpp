@@ -101,7 +101,7 @@ BENCHMARK(BM_Stage1IngestWithMetrics);
 /// Ingest with the full observability surface attached — metrics, decision
 /// log and flight-recorder tracer. The latter two are stage-2-only, so
 /// this must track BM_Stage1IngestWithMetrics within the 3% budget
-/// (measured precisely by bench_obs_overhead).
+/// (bench_obs_overhead gates it with a paired CI on apply_batch).
 void BM_Stage1IngestFullObservability(benchmark::State& state) {
   const auto& trace = shared_trace();
   obs::MetricsRegistry registry;

@@ -120,12 +120,7 @@ CollectorService::CollectorService(core::IpdParams params,
         }
         if (record.ts >= next_cycle_ || record.ts >= next_snapshot_) {
           flush_engine_pending();
-          while (record.ts >= next_cycle_) {
-            const obs::WatchdogScope cycle_scope(config_.watchdog,
-                                                 wd_cycle_task_);
-            engine_.run_cycle(next_cycle_);
-            next_cycle_ += engine_.params().t;
-          }
+          run_cycles_through(record.ts);
           while (record.ts >= next_snapshot_) {
             publish(next_snapshot_);
             next_snapshot_ += config_.snapshot_len;
@@ -283,13 +278,24 @@ void CollectorService::stop() {
   stat_time_->flush();
   flush_engine_pending();
   update_ring_gauges();
-  if (clock_started_) publish(next_snapshot_);
+  if (!clock_started_) return;
+  // As on the record path, a publish at boundary T follows the cycle at T.
+  run_cycles_through(next_snapshot_);
+  publish(next_snapshot_);
 }
 
 void CollectorService::flush_engine_pending() {
   if (engine_pending_.empty()) return;
   engine_.apply_batch(engine_pending_);
   engine_pending_.clear();
+}
+
+void CollectorService::run_cycles_through(util::Timestamp ts) {
+  while (next_cycle_ <= ts) {
+    const obs::WatchdogScope cycle_scope(config_.watchdog, wd_cycle_task_);
+    engine_.run_cycle(next_cycle_);
+    next_cycle_ += engine_.params().t;
+  }
 }
 
 bool CollectorService::drain_once() {

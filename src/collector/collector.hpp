@@ -187,6 +187,8 @@ class CollectorService {
   bool drain_once();  // returns whether any ring yielded records
   std::size_t enqueue_batch(std::size_t source, netflow::FlowBatch&& batch);
   void flush_engine_pending();
+  // Run every stage-2 cycle due at or before `ts`.
+  void run_cycles_through(util::Timestamp ts);
   void publish(util::Timestamp ts);
   void update_ring_gauges();
 

@@ -18,7 +18,8 @@
 // Overhead at the default 97 Hz (prime, to avoid phase-locking with
 // periodic work): one signal + ~35-frame backtrace every ~10 ms of CPU
 // time, well under 1% — the 3% observability budget covers perf counters
-// and profiler together (bench_obs_overhead gates it).
+// and profiler together (bench_obs_overhead gates it, the profiler
+// sampling only the paired B sides).
 #pragma once
 
 #include <pthread.h>

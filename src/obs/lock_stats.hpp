@@ -6,7 +6,7 @@
 // one "engine.slot" site — so cardinality stays bounded no matter how many
 // mutex objects exist.
 //
-// Cost model (the whole point — see bench_lock_overhead):
+// Cost model (the whole point — bench_obs_overhead measures it):
 //
 //   uncontended acquire  : one relaxed fetch_add + a try_lock (same atomic
 //                          op the plain mutex would do) + one predictable

@@ -98,10 +98,13 @@ TEST(Collector, EndToEndViaDatagrams) {
   // records, so allow the full span of the trace.
   config.stat_time.max_skew = 3600;
   CollectorService service(tiny_params(), config, /*n_sources=*/2);
-  service.start();
 
   // Router 5 exports traffic of 10/8 on interface 2, router 9 exports
-  // 20/8 traffic on interface 0 — as v5 datagrams over two sources.
+  // 20/8 traffic on interface 0 — as v5 datagrams over two sources. Both
+  // sources are queued before the IPD thread starts: fed live, source 1's
+  // minute could arrive after the IPD thread had already cycled over
+  // source 0's data for it, which makes the final table depend on thread
+  // scheduling. Every datagram must be accepted whole (no ring refusal).
   for (int minute = 0; minute < 8; ++minute) {
     const util::Timestamp ts = 1000000 + minute * 60;
     auto flows_a = make_flows(ts, 60, {5, 2}, 0x0A000000u);
@@ -109,14 +112,15 @@ TEST(Collector, EndToEndViaDatagrams) {
     for (auto& packet : netflow::v5::from_flow_records(flows_a)) {
       packet.header.unix_secs = static_cast<std::uint32_t>(ts);
       const auto bytes = netflow::v5::encode(packet);
-      service.submit_datagram(0, 5, bytes);
+      ASSERT_EQ(service.submit_datagram(0, 5, bytes), packet.records.size());
     }
     for (auto& packet : netflow::v5::from_flow_records(flows_b)) {
       packet.header.unix_secs = static_cast<std::uint32_t>(ts);
       const auto bytes = netflow::v5::encode(packet);
-      service.submit_datagram(1, 9, bytes);
+      ASSERT_EQ(service.submit_datagram(1, 9, bytes), packet.records.size());
     }
   }
+  service.start();
   service.stop();
 
   const auto stats = service.stats();
@@ -133,6 +137,37 @@ TEST(Collector, EndToEndViaDatagrams) {
   const auto hit_b = table->lookup(net::IpAddress::from_string("20.1.2.3"));
   ASSERT_TRUE(hit_b.has_value());
   EXPECT_TRUE(hit_b->matches(topology::LinkId{9, 0}));
+}
+
+TEST(Collector, StopRunsTheCyclesDueBeforeItsFinalPublish) {
+  // Every record predates the first cycle boundary (t = 60 s), so no
+  // record ever crosses a boundary: only stop() can run the cycles at
+  // 1000020, 1000080, 1000140 and 1000200 that precede its publish at the
+  // 1000200 snapshot boundary.
+  CollectorConfig config;
+  config.stat_time.activity_threshold = 1;
+  CollectorService service(tiny_params(), config, 1);
+  std::vector<netflow::FlowRecord> flows(200);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    flows[i].ts = 1000000 + static_cast<util::Timestamp>(i % 20);
+    flows[i].src_ip =
+        net::IpAddress::v4(0x0A000000u + (static_cast<std::uint32_t>(i) << 8));
+    flows[i].ingress = {5, 2};
+  }
+  for (const auto& packet : netflow::v5::from_flow_records(flows)) {
+    ASSERT_EQ(service.submit_datagram(0, 5, netflow::v5::encode(packet)),
+              packet.records.size());
+  }
+  service.start();
+  service.stop();
+
+  EXPECT_EQ(service.stats().flows_ingested, flows.size());
+  EXPECT_EQ(service.stats().cycles_run, 4u);
+  EXPECT_EQ(service.stats().snapshots_published, 1u);
+  const auto hit =
+      service.current_table()->lookup(net::IpAddress::from_string("10.0.3.1"));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->matches(topology::LinkId{5, 2}));
 }
 
 TEST(Collector, IpfixDatagramsAutoDetected) {

@@ -8,8 +8,8 @@ over dot-separated paths into its JSON (numeric components index arrays):
     {
       "artifact": "BENCH_obs_overhead.json",
       "checks": [
-        {"path": "overhead_pct.tsdb_health_e2e", "max": 3.0},
-        {"path": "throughput_flows_per_s.bare", "min": 100000},
+        {"path": "overhead.tsdb_health_e2e.ci_hi", "max": 3.0},
+        {"path": "overhead.metrics.a_per_s", "min": 100000},
         {"path": "budget_pct", "equals": 3.0},
         {"path": "rows", "len": 9}
       ]
@@ -22,10 +22,11 @@ floors rather than absolute wall-clock numbers.
 
 Exit status is non-zero when any check fails or an expected artifact is
 missing, so CI can gate on it directly. With --allow-missing, a missing
-artifact file or a missing path inside one downgrades to "skip" instead of
-failing: benches emit hardware-counter keys (cycles_per_op, ipc, ...) only
-on machines whose PMU is exposed, and CI containers typically run without
-one. Malformed checks (bad bounds, wrong types) still fail either way.
+path inside an artifact downgrades to "skip" instead of failing: benches
+emit hardware-counter keys (cycles_per_op, ipc, ...) only on machines whose
+PMU is exposed, and CI containers typically run without one. A missing
+artifact file still fails, so a deleted or renamed bench cannot pass the
+gate silently. Malformed checks (bad bounds, wrong types) fail either way.
 """
 
 import argparse
@@ -98,9 +99,10 @@ def main():
     parser.add_argument("--artifacts", required=True,
                         help="directory holding fresh BENCH_*.json output")
     parser.add_argument("--allow-missing", action="store_true",
-                        help="skip (instead of fail) missing artifacts and "
-                             "missing paths, e.g. hardware-counter keys on "
-                             "machines without an exposed PMU")
+                        help="skip (instead of fail) paths missing from an "
+                             "artifact, e.g. hardware-counter keys on "
+                             "machines without an exposed PMU; a missing "
+                             "artifact file still fails")
     args = parser.parse_args()
 
     baseline_dir = pathlib.Path(args.baselines)
@@ -127,15 +129,9 @@ def main():
             continue
         artifact_path = artifact_dir / baseline["artifact"]
         if not artifact_path.exists():
-            if args.allow_missing:
-                print(f"skip {baseline_path.name}: artifact "
-                      f"{baseline['artifact']} not found in {artifact_dir} "
-                      f"(allowed)")
-                skipped += 1
-            else:
-                print(f"FAIL {baseline_path.name}: artifact "
-                      f"{baseline['artifact']} not found in {artifact_dir}")
-                failures += 1
+            print(f"FAIL {baseline_path.name}: artifact "
+                  f"{baseline['artifact']} not found in {artifact_dir}")
+            failures += 1
             continue
         with open(artifact_path) as f:
             artifact = json.load(f)

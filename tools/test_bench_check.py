@@ -168,11 +168,12 @@ class MainTest(unittest.TestCase):
             "checks": [{"path": "overhead", "max": 3.0}]})
         self.assertEqual(self.run_main(), 1)
 
-    def test_missing_artifact_skips_with_allow_missing(self):
+    def test_missing_artifact_fails_even_with_allow_missing(self):
+        # A deleted or renamed bench must not pass the gate silently.
         self.write(self.baselines, "t.json", {
             "artifact": "BENCH_t.json",
             "checks": [{"path": "overhead", "max": 3.0}]})
-        self.assertEqual(self.run_main("--allow-missing"), 0)
+        self.assertEqual(self.run_main("--allow-missing"), 1)
 
     def test_missing_path_skips_with_allow_missing(self):
         self.write(self.baselines, "t.json", {
