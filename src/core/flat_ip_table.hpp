@@ -13,8 +13,9 @@
 // Iteration order is slot order: a pure function of the insert/erase
 // sequence, identical between the sequential and sharded engines (both
 // apply the same per-leaf operation sequence), so the determinism
-// differential holds. Aggregate rebuilds feed IngressCounts, which is
-// canonically ordered anyway.
+// differential holds. The aggregates that split builds and expiry
+// subtracts from in slot order are IngressCounts, which is canonically
+// ordered and exact on integer counts, so slot order never reaches them.
 //
 // memory_bytes() is exact: capacity * sizeof(Slot) plus every entry's
 // spilled counter storage.

@@ -7,6 +7,7 @@ namespace ipd::core {
 void RangeNode::add_sample(util::Timestamp ts, const net::IpAddress& masked_ip,
                            topology::LinkId link, std::uint64_t n) {
   assert(state_ != State::Internal);
+  assert(n >= 1 && "expire_before's exact subtraction needs weights >= 1");
   counts_.add(link, static_cast<double>(n));
   if (ts > last_update_) last_update_ = ts;
   if (state_ == State::Monitoring) {
@@ -18,25 +19,39 @@ void RangeNode::add_sample(util::Timestamp ts, const net::IpAddress& masked_ip,
 
 void RangeNode::expire_before(util::Timestamp cutoff) {
   if (state_ != State::Monitoring || ips_.empty()) return;
+  // Take each departing entry's counts back out of the aggregate. The
+  // predicate runs once per erased entry (a survivor may be re-tested
+  // after a backward shift, but only ever answers false), so every
+  // departure is subtracted exactly once; the integer-valued sums make
+  // the result bit-identical to rebuilding from the survivors.
   const std::size_t removed =
-      ips_.erase_if([cutoff](const net::IpAddress&, const IpEntry& entry) {
-        return entry.last_seen < cutoff;
+      ips_.erase_if([this, cutoff](const net::IpAddress&, const IpEntry& entry) {
+        if (entry.last_seen >= cutoff) return false;
+        for (const auto& [link, c] : entry.counts) {
+          counts_.subtract(link, static_cast<double>(c));
+        }
+        return true;
       });
   if (removed == 0) return;
   // Give back the slack the departed entries occupied (this is the shrink
   // the old unordered_map could only approximate with rehash(0)).
   ips_.compact();
-  // Rebuild aggregates from the surviving per-IP detail so that the
-  // aggregate counters never drift from their source of truth. The
-  // canonical ordering inside IngressCounts makes the result independent
-  // of table iteration order.
-  counts_.clear();
+#ifndef NDEBUG
+  const IngressCounts reference = rebuilt_counts();
+  assert(counts_.bit_equal(reference) &&
+         counts_.memory_bytes() == reference.memory_bytes());
+#endif
+}
+
+IngressCounts RangeNode::rebuilt_counts() const {
+  IngressCounts out;
   for (const auto& [ip, entry] : ips_) {
     (void)ip;
     for (const auto& [link, c] : entry.counts) {
-      counts_.add(link, static_cast<double>(c));
+      out.add(link, static_cast<double>(c));
     }
   }
+  return out;
 }
 
 void RangeNode::classify(const IngressId& ingress, util::Timestamp now) {
@@ -249,19 +264,35 @@ void IpdTrie::visit_post(RangeNode& node,
   fn(node);
 }
 
-std::size_t IpdTrie::memory_bytes() const noexcept {
-  // Arena footprint is O(1); node-owned heap (tables, spilled counters)
-  // needs the walk. Iterative to keep this metric cheap.
-  std::size_t bytes = pool_->bytes();
+TrieCensus IpdTrie::census() const noexcept {
+  // One iterative walk over every node: interior nodes own no heap today,
+  // but the exact byte count does not rely on that.
+  TrieCensus out;
+  out.memory_bytes = pool_->bytes();
   std::vector<NodeIndex> stack{root_};
   while (!stack.empty()) {
     const RangeNode& n = resolve(stack.back());
     stack.pop_back();
-    bytes += n.memory_bytes();
-    if (n.child0_ != kInvalidNode) stack.push_back(n.child0_);
-    if (n.child1_ != kInvalidNode) stack.push_back(n.child1_);
+    out.memory_bytes += n.memory_bytes();
+    switch (n.state_) {
+      case RangeNode::State::Internal:
+        stack.push_back(n.child1_);
+        stack.push_back(n.child0_);
+        break;
+      case RangeNode::State::Classified:
+        ++out.classified;
+        break;
+      case RangeNode::State::Monitoring:
+        ++out.monitoring;
+        out.tracked_ips += n.ips_.size();
+        break;
+    }
   }
-  return bytes;
+  return out;
+}
+
+std::size_t IpdTrie::memory_bytes() const noexcept {
+  return census().memory_bytes;
 }
 
 }  // namespace ipd::core

@@ -92,7 +92,7 @@ class alignas(64) RangeNode {
   const FlatIpTable& ips() const noexcept { return ips_; }
   FlatIpTable& ips() noexcept { return ips_; }
 
-  /// Record one sample (stage 1). Leaf only.
+  /// Record one sample (stage 1). Leaf only; `n` >= 1.
   void add_sample(util::Timestamp ts, const net::IpAddress& masked_ip,
                   topology::LinkId link, std::uint64_t n = 1);
 
@@ -107,10 +107,17 @@ class alignas(64) RangeNode {
     if (ts > last_update_) last_update_ = ts;
   }
 
-  /// Remove per-IP entries older than `cutoff`, rebuild the aggregate
-  /// counters from what survives, and compact the detail table.
-  /// Monitoring leaves only.
+  /// Remove per-IP entries older than `cutoff`, subtracting each one's
+  /// per-link counts from the aggregate as it goes, and compact the detail
+  /// table. Costs one pass over the table plus one counter lookup per
+  /// departing (IP, link) pair; the aggregate ends bit-identical to
+  /// rebuilt_counts() (Debug builds assert it). Monitoring leaves only.
   void expire_before(util::Timestamp cutoff);
+
+  /// The aggregate counters rebuilt from scratch out of the per-IP detail
+  /// (slot order, each link added in turn): the reference a Monitoring
+  /// leaf's counts() equals, capacity included.
+  IngressCounts rebuilt_counts() const;
 
   /// Move to Classified: drop per-IP detail (releasing its memory), keep
   /// aggregates.
@@ -152,6 +159,14 @@ class alignas(64) RangeNode {
   IngressId ingress_;
   util::Timestamp last_update_ = 0;
   util::Timestamp classified_at_ = 0;
+};
+
+/// One walk's worth of partition totals (IpdTrie::census).
+struct TrieCensus {
+  std::size_t classified = 0;    // leaves by state
+  std::size_t monitoring = 0;
+  std::size_t tracked_ips = 0;   // per-IP entries held by monitoring leaves
+  std::size_t memory_bytes = 0;  // exact, as IpdTrie::memory_bytes()
 };
 
 /// One address family's partition of the address space.
@@ -329,9 +344,13 @@ class IpdTrie {
     return nodes_.load(std::memory_order_relaxed);
   }
 
+  /// Leaf counts by state, tracked IPs and exact heap bytes, from one
+  /// iterative walk over every node.
+  TrieCensus census() const noexcept;
+
   /// Exact total heap usage in bytes: the node arena (block table plus
   /// mapped blocks) plus every node's owned heap (flat tables, spilled
-  /// counters, bundle interface sets).
+  /// counters, bundle interface sets). A census() walk.
   std::size_t memory_bytes() const noexcept;
 
   /// Exact arena footprint alone (blocks + block table).

@@ -38,6 +38,8 @@ class SmallVec {
   static_assert(N >= 1);
 
  public:
+  using value_type = T;
+
   // User-provided (not defaulted) so a const SmallVec default-constructs;
   // the inline buffer is deliberately left uninitialized.
   SmallVec() noexcept {}
@@ -103,6 +105,16 @@ class SmallVec {
     ++size_;
   }
 
+  /// Remove the element at `pos` (a pointer into this vector), shifting
+  /// the tail down. Capacity is unchanged.
+  void erase(const T* pos) noexcept {
+    const std::size_t at = static_cast<std::size_t>(pos - data());
+    assert(at < size_);
+    T* base = data();
+    std::memmove(base + at, base + at + 1, (size_ - at - 1) * sizeof(T));
+    --size_;
+  }
+
   /// Shrink to `n` elements (n <= size()).
   void truncate(std::size_t n) noexcept {
     assert(n <= size_);
@@ -115,6 +127,14 @@ class SmallVec {
   /// Heap bytes owned beyond the object itself (0 while inline).
   std::size_t heap_bytes() const noexcept {
     return is_inline() ? 0 : capacity_ * sizeof(T);
+  }
+
+  /// The capacity an empty vector reaches after `n` single-element
+  /// appends: N inline, then doubling.
+  static constexpr std::size_t grown_capacity(std::size_t n) noexcept {
+    std::size_t cap = N;
+    while (cap < n) cap *= 2;
+    return cap;
   }
 
   /// Grow capacity to at least `cap` without changing contents. Snapshot

@@ -138,6 +138,32 @@ TEST(ObsIntegration, CycleStatsMemoryIncludesRegistryAndBinBuffer) {
   (void)metered_phase_ns;  // may legitimately round to 0 on a tiny cycle
 }
 
+TEST(ObsIntegration, TrieMemoryGaugeEqualsTrieMemoryAfterACycle) {
+  // The per-family gauge comes from the cycle's census walk, not a second
+  // walk of its own; it must still read the trie's exact footprint.
+  obs::MetricsRegistry registry;
+  core::IpdEngine engine(tiny_params());
+  engine.attach_metrics(registry);
+  for (int minute = 0; minute < 4; ++minute) {
+    for (std::uint32_t i = 0; i < 400; ++i) {
+      engine.ingest(rec(minute * 60 + (i % 60), IpAddress::v4(i << 20),
+                        LinkId{1 + i % 3, 0}));
+      engine.ingest(rec(minute * 60 + (i % 60),
+                        IpAddress::v6(0x20010db800000000ull | std::uint64_t{i} << 24, 0),
+                        LinkId{2, static_cast<topology::InterfaceIndex>(i % 2)}));
+    }
+    engine.run_cycle(minute * 60 + 60);
+    for (const auto& [family, label] :
+         {std::pair{net::Family::V4, "v4"}, std::pair{net::Family::V6, "v6"}}) {
+      const double gauge =
+          registry.gauge("ipd_trie_memory_bytes", "", {{"family", label}})
+              .value();
+      EXPECT_EQ(gauge, static_cast<double>(engine.trie(family).memory_bytes()))
+          << label << " after minute " << minute;
+    }
+  }
+}
+
 TEST(ObsIntegration, CollectorPublishesPerSourceSeries) {
   obs::MetricsRegistry registry;
   collector::CollectorConfig config;

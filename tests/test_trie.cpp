@@ -1,5 +1,7 @@
 #include "core/trie.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -361,6 +363,102 @@ TEST(IpdTrie, RandomChurnKeepsPoolAndAccountingConsistent) {
     ASSERT_EQ(trie.memory_bytes(), summed);
     ASSERT_LE(trie.node_count(), trie.pool_high_water());
   }
+}
+
+TEST(RangeNode, DecrementalExpiryMatchesARebuild) {
+  // Randomized churn against the reference: samples over pools of 1 to
+  // 500 links, expiry at random cutoffs (one leaf, or all of them as a
+  // cycle does) and random splits. After every step each Monitoring
+  // leaf's aggregate must equal a rebuild from its per-IP detail (links,
+  // counts and total bit for bit, capacity too), and the census must
+  // agree with an independent walk.
+  constexpr std::size_t kPools[] = {1, 2, 3, 8, 40, 500};
+  std::mt19937 rng(0x5eedu);
+  IpdTrie trie(Family::V4);
+  std::size_t max_links = 0;
+  std::size_t expired = 0;
+  for (int round = 0; round < 400; ++round) {
+    std::vector<RangeNode*> leaves;
+    trie.for_each_leaf([&](RangeNode& node) { leaves.push_back(&node); });
+    RangeNode& leaf = *leaves[rng() % leaves.size()];
+    const int op = static_cast<int>(rng() % 10);
+    if (op < 5) {
+      const std::size_t pool = kPools[rng() % std::size(kPools)];
+      const int len = leaf.prefix().length();
+      const std::uint32_t base = leaf.prefix().address().v4_value();
+      const std::uint32_t mask = len == 0 ? 0u : ~0u << (32 - len);
+      const std::size_t samples = std::max<std::size_t>(300, 2 * pool);
+      for (std::size_t i = 0; i < samples; ++i) {
+        // A few hundred spread-out sources, so entries collect several
+        // samples and several links before they expire.
+        const std::uint32_t within =
+            static_cast<std::uint32_t>(rng() % 300) * 2654435761u;
+        const auto l = static_cast<std::uint32_t>(rng() % pool);
+        leaf.add_sample(round - static_cast<int>(rng() % 8),
+                        IpAddress::v4(base | (within & ~mask)),
+                        LinkId{static_cast<topology::RouterId>(l / 8),
+                               static_cast<topology::InterfaceIndex>(l % 8)},
+                        1 + rng() % 5);
+      }
+      max_links = std::max(max_links, leaf.counts().distinct_links());
+    } else if (op < 7) {
+      const std::size_t before = leaf.ips().size();
+      leaf.expire_before(round - static_cast<int>(rng() % 10));
+      expired += before - leaf.ips().size();
+    } else if (op < 9) {
+      trie.split(leaf);
+    } else {
+      const int cutoff = round - static_cast<int>(rng() % 10);
+      for (RangeNode* node : leaves) {
+        const std::size_t before = node->ips().size();
+        node->expire_before(cutoff);
+        expired += before - node->ips().size();
+      }
+    }
+
+    TrieCensus walked;
+    walked.memory_bytes = trie.arena_bytes();
+    trie.post_order([&](RangeNode& node) {
+      walked.memory_bytes += node.memory_bytes();
+      if (!node.is_leaf()) return;
+      ++walked.monitoring;
+      walked.tracked_ips += node.ips().size();
+      const IngressCounts reference = node.rebuilt_counts();
+      ASSERT_TRUE(node.counts().bit_equal(reference))
+          << "round " << round << " leaf " << node.prefix().to_string();
+      ASSERT_EQ(node.counts().entries().capacity(),
+                reference.entries().capacity())
+          << "round " << round;
+      ASSERT_EQ(node.counts().memory_bytes(), reference.memory_bytes());
+    });
+    const TrieCensus census = trie.census();
+    ASSERT_EQ(census.monitoring, walked.monitoring);
+    ASSERT_EQ(census.classified, 0u);
+    ASSERT_EQ(census.tracked_ips, walked.tracked_ips);
+    ASSERT_EQ(census.memory_bytes, walked.memory_bytes);
+    ASSERT_EQ(trie.memory_bytes(), walked.memory_bytes);
+  }
+  // Both ends of the link range were exercised, and expiry did real work.
+  EXPECT_GT(max_links, 300u);
+  EXPECT_GT(expired, 1000u);
+}
+
+TEST(IpdTrie, CensusCountsLeavesByState) {
+  IpdTrie trie(Family::V4);
+  ASSERT_TRUE(trie.split(trie.root()));
+  RangeNode& low = *trie.child(trie.root(), 0);
+  RangeNode& high = *trie.child(trie.root(), 1);
+  low.add_sample(1, IpAddress::from_string("10.0.0.0"), LinkId{1, 0});
+  low.add_sample(1, IpAddress::from_string("10.0.1.0"), LinkId{1, 0});
+  high.add_sample(1, IpAddress::from_string("200.0.0.0"), LinkId{2, 0});
+  high.classify(IngressId(LinkId{2, 0}), 1);
+  const TrieCensus census = trie.census();
+  EXPECT_EQ(census.classified, 1u);
+  EXPECT_EQ(census.monitoring, 1u);
+  EXPECT_EQ(census.tracked_ips, 2u);
+  EXPECT_EQ(census.memory_bytes, trie.arena_bytes() + low.memory_bytes() +
+                                     high.memory_bytes() +
+                                     trie.root().memory_bytes());
 }
 
 TEST(IpdTrie, V6Works) {
