@@ -147,6 +147,18 @@ TEST(EngineEdge, OutOfOrderTimestampsAreTolerated) {
   EXPECT_DOUBLE_EQ(root.counts().total(), 2.0);
 }
 
+TEST(EngineEdge, ZeroWeightCountsAsOne) {
+  // Expiry subtracts per-IP counts from the leaf aggregate, which needs
+  // every count >= 1: ingest() reads a weight of 0 as 1, as apply_batch
+  // does for a zero byte count.
+  IpdEngine engine(tiny_params());
+  engine.ingest(100, IpAddress::from_string("10.0.0.1"), LinkId{1, 0}, 0);
+  const auto& root = engine.trie(Family::V4).root();
+  ASSERT_EQ(root.state(), RangeNode::State::Monitoring);
+  EXPECT_DOUBLE_EQ(root.counts().total(), 1.0);
+  EXPECT_TRUE(root.counts().bit_equal(root.rebuilt_counts()));
+}
+
 TEST(EngineEdge, ReclassificationAfterDropUsesFreshEvidence) {
   IpdEngine engine(tiny_params());
   feed(engine, Prefix::root(Family::V4), LinkId{1, 0}, 200, 30);
