@@ -1,5 +1,6 @@
 #include "collector/collector.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -41,8 +42,7 @@ CollectorService::CollectorService(core::IpdParams params,
     // Handle ring: every admitted batch holds >= 1 record and the record
     // budget caps in-flight records at the ring's (power-of-two rounded)
     // capacity, so a slot is always free whenever the budget admits.
-    rings_.push_back(
-        std::make_unique<SpscRing<TimedBatch>>(config_.ring_capacity));
+    rings_.push_back(std::make_unique<BatchRings>(config_.ring_capacity));
   }
   ipfix_parsers_.resize(n_sources);
   if (config_.metrics != nullptr) {
@@ -102,37 +102,34 @@ CollectorService::CollectorService(core::IpdParams params,
   // disturb the engine's data clock.
   config_.stat_time.bucket_len = params.t;
   stat_time_ = std::make_unique<netflow::StatisticalTime>(
-      config_.stat_time, [this](const netflow::FlowRecord& record) {
-        // Batched ingest: the record joins the pending buffer, which is
-        // handed to the engine whenever a cycle/snapshot boundary fires
-        // (after buffering the record — the collector's tie-break is that
-        // the boundary-crossing record is ingested *before* the boundary)
-        // or the buffer fills.
-        engine_pending_.push_back(record);
-        // Advance the data clock: stage 2 runs on data time, not wall time.
-        if (!clock_started_) {
-          next_cycle_ = util::bucket_start(record.ts, engine_.params().t) +
-                        engine_.params().t;
-          next_snapshot_ =
-              util::bucket_start(record.ts, config_.snapshot_len) +
-              config_.snapshot_len;
-          clock_started_ = true;
-        }
-        if (record.ts >= next_cycle_ || record.ts >= next_snapshot_) {
-          flush_engine_pending();
-          run_cycles_through(record.ts);
-          while (record.ts >= next_snapshot_) {
-            publish(next_snapshot_);
-            next_snapshot_ += config_.snapshot_len;
-          }
-        } else if (engine_pending_.size() >= config_.engine_batch) {
-          flush_engine_pending();
-        }
-      });
+      config_.stat_time,
+      [this](const netflow::FlowBatch& bucket) { ingest_bucket(bucket); });
   table_ = std::make_shared<const core::LpmTable>();
 }
 
 CollectorService::~CollectorService() { stop(); }
+
+CollectorService::BatchRings::~BatchRings() {
+  TimedBatch timed;
+  while (queued.try_pop(timed)) delete timed.batch;
+  netflow::FlowBatch* batch = nullptr;
+  while (returned.try_pop(batch)) delete batch;
+}
+
+netflow::FlowBatch& CollectorService::reader_batch(std::size_t source) {
+  std::unique_ptr<netflow::FlowBatch>& spare =
+      source_metrics_.at(source).spare;
+  if (!spare) {
+    netflow::FlowBatch* recycled = nullptr;
+    if (rings_[source]->returned.try_pop(recycled)) {
+      spare.reset(recycled);
+    } else {
+      spare = std::make_unique<netflow::FlowBatch>();
+    }
+  }
+  spare->clear();
+  return *spare;
+}
 
 std::size_t CollectorService::submit_datagram(
     std::size_t source, topology::RouterId exporter,
@@ -142,7 +139,7 @@ std::size_t CollectorService::submit_datagram(
     const std::uint16_t version =
         static_cast<std::uint16_t>((bytes[0] << 8) | bytes[1]);
     if (version == netflow::ipfix::kVersion) {
-      netflow::FlowBatch batch;
+      netflow::FlowBatch& batch = reader_batch(source);
       if (!ipfix_parsers_.at(source).parse_batch(bytes, exporter, batch)) {
         datagrams_malformed_.fetch_add(1, std::memory_order_relaxed);
         if (datagrams_malformed_metric_) datagrams_malformed_metric_->inc();
@@ -155,13 +152,13 @@ std::size_t CollectorService::submit_datagram(
         return 0;
       }
       if (datagrams_ok_metric_) datagrams_ok_metric_->inc();
-      return enqueue_batch(source, std::move(batch));
+      return enqueue_batch(source);
     }
     if (version == netflow::v5::kVersion) {
-      netflow::FlowBatch batch;
+      netflow::FlowBatch& batch = reader_batch(source);
       if (netflow::v5::decode_batch(bytes, exporter, batch)) {
         if (datagrams_ok_metric_) datagrams_ok_metric_->inc();
-        return enqueue_batch(source, std::move(batch));
+        return enqueue_batch(source);
       }
     }
   }
@@ -176,15 +173,14 @@ std::size_t CollectorService::submit_datagram(
 
 std::size_t CollectorService::submit_records(
     std::size_t source, std::span<const netflow::FlowRecord> records) {
-  netflow::FlowBatch batch;
-  netflow::append_records(batch, records);
-  return enqueue_batch(source, std::move(batch));
+  netflow::append_records(reader_batch(source), records);
+  return enqueue_batch(source);
 }
 
-std::size_t CollectorService::enqueue_batch(std::size_t source,
-                                            netflow::FlowBatch&& batch) {
-  auto& ring = *rings_.at(source);
+std::size_t CollectorService::enqueue_batch(std::size_t source) {
+  auto& ring = rings_.at(source)->queued;
   SourceMetrics& sm = source_metrics_.at(source);
+  netflow::FlowBatch& batch = *sm.spare;
   const std::size_t n = batch.size();
   // One clock read per datagram's worth of records: residency resolution
   // finer than a submit call is meaningless anyway.
@@ -194,7 +190,8 @@ std::size_t CollectorService::enqueue_batch(std::size_t source,
 
   // Admission: the record budget bounds in-flight records at the ring's
   // rounded capacity, exactly the record-ring semantics. The prefix that
-  // fits is admitted as one batch handle; the tail is dropped per record.
+  // fits is admitted as one batch handle (cut in place); the tail is
+  // dropped per record.
   const std::size_t budget = ring.capacity();
   const std::uint64_t queued = sm.records_queued.load(std::memory_order_acquire);
   const std::size_t remaining =
@@ -224,18 +221,10 @@ std::size_t CollectorService::enqueue_batch(std::size_t source,
 
   std::size_t accepted = 0;
   if (accept > 0) {
-    auto payload = std::make_shared<netflow::FlowBatch>();
-    if (accept == n) {
-      *payload = std::move(batch);
-    } else {
-      payload->reserve(accept);
-      for (std::size_t k = 0; k < accept; ++k) {
-        payload->push_back(batch.ts[k], batch.src_ip[k], batch.dst_ip[k],
-                           batch.packets[k], batch.bytes[k], batch.ingress[k]);
-      }
-    }
+    batch.truncate(accept);
     sm.records_queued.fetch_add(accept, std::memory_order_release);
-    if (ring.try_push(TimedBatch{std::move(payload), now_ns})) {
+    if (ring.try_push(TimedBatch{sm.spare.get(), now_ns})) {
+      sm.spare.release();  // the ring owns it now
       accepted = accept;
     } else {
       // Unreachable by the budget invariant; keep the accounting honest
@@ -273,7 +262,7 @@ void CollectorService::stop() {
   while (any_left) {
     drain_once();
     any_left = false;
-    for (const auto& ring : rings_) any_left |= !ring->empty();
+    for (const auto& rings : rings_) any_left |= !rings->queued.empty();
   }
   stat_time_->flush();
   flush_engine_pending();
@@ -282,6 +271,46 @@ void CollectorService::stop() {
   // As on the record path, a publish at boundary T follows the cycle at T.
   run_cycles_through(next_snapshot_);
   publish(next_snapshot_);
+}
+
+void CollectorService::ingest_bucket(const netflow::FlowBatch& bucket) {
+  // Rows join the pending engine batch in runs. A run ends at the first row
+  // that reaches the next cycle or snapshot boundary — that row is
+  // ingested before the boundary fires, the collector's tie-break — or
+  // where the pending batch reaches engine_batch rows. Every apply_batch
+  // call therefore sees the rows a record-at-a-time feed would give it.
+  const std::size_t batch_rows = std::max<std::size_t>(config_.engine_batch, 1);
+  std::size_t pos = 0;
+  while (pos < bucket.size()) {
+    // Advance the data clock: stage 2 runs on data time, not wall time.
+    if (!clock_started_) {
+      const util::Duration t = engine_.params().t;
+      const util::Duration snap = config_.snapshot_len;
+      next_cycle_ = util::bucket_start(bucket.ts[pos], t) + t;
+      next_snapshot_ = util::bucket_start(bucket.ts[pos], snap) + snap;
+      clock_started_ = true;
+    }
+    const util::Timestamp boundary = std::min(next_cycle_, next_snapshot_);
+    const std::size_t end =
+        std::min(bucket.size(), pos + (batch_rows - engine_pending_.size()));
+    std::size_t k = pos;
+    while (k < end && bucket.ts[k] < boundary) ++k;
+    if (k == end) {
+      engine_pending_.append_rows(bucket, pos, end);
+      if (engine_pending_.size() >= batch_rows) flush_engine_pending();
+      pos = end;
+      continue;
+    }
+    const util::Timestamp ts = bucket.ts[k];
+    engine_pending_.append_rows(bucket, pos, k + 1);
+    flush_engine_pending();
+    run_cycles_through(ts);
+    while (ts >= next_snapshot_) {
+      publish(next_snapshot_);
+      next_snapshot_ += config_.snapshot_len;
+    }
+    pos = k + 1;
+  }
 }
 
 void CollectorService::flush_engine_pending() {
@@ -312,7 +341,7 @@ bool CollectorService::drain_once() {
     // granularity keeps no source minutes ahead of the others).
     std::size_t drained = 0;
     TimedBatch timed;
-    while (drained < config_.drain_batch && rings_[i]->try_pop(timed)) {
+    while (drained < config_.drain_batch && rings_[i]->queued.try_pop(timed)) {
       const netflow::FlowBatch& batch = *timed.batch;
       if (ring_residency_ != nullptr) {
         // Every record of a batch was enqueued together: one weighted
@@ -320,22 +349,26 @@ bool CollectorService::drain_once() {
         ring_residency_->observe(
             static_cast<double>(now_ns - timed.enq_ns) * 1e-9, batch.size());
       }
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        if (obs::FlowTracer* tracer = config_.flow_trace) {
+      if (obs::FlowTracer* tracer = config_.flow_trace) {
+        for (std::size_t k = 0; k < batch.size(); ++k) {
           tracer->observe(obs::FlowHopKind::RingDequeue, batch.ts[k],
                           batch.src_ip[k].masked(engine_.params().cidr_max(
                               batch.src_ip[k].family())),
                           batch.ingress[k], static_cast<std::uint32_t>(i));
         }
-        stat_time_->offer(batch.record(k));
       }
+      stat_time_->offer(batch);
       drained += batch.size();
       // Subtract from the budget only after the batch is fully handed to
       // statistical time — until then the records still occupy pipeline
       // memory, and the producer may not overwrite it.
       source_metrics_[i].records_queued.fetch_sub(batch.size(),
                                                   std::memory_order_release);
-      timed.batch.reset();
+      // Statistical time has copied the rows: the batch goes back to its
+      // reader. The return ring is as large as the forward one, so it can
+      // only be full when nearly every batch in flight held one record;
+      // the batch is then freed here instead.
+      if (!rings_[i]->returned.try_push(timed.batch)) delete timed.batch;
     }
     any |= drained > 0;
   }

@@ -11,9 +11,11 @@
 //     -> per-reader SPSC ring of batch handles (capacity still counted in
 //        flow records via a per-source record budget)
 //   IPD thread
-//     -> drains all rings batch-wise, runs statistical-time
-//        pre-processing, ingests via the engine's batched apply path,
-//        fires stage-2 cycles on data time
+//     -> drains all rings batch-wise into statistical time, which stages
+//        rows per bucket column by column, then hands each drained batch
+//        back to its reader over a second SPSC ring for reuse
+//     -> ingests sealed buckets via the engine's batched apply path, fires
+//        stage-2 cycles on data time
 //
 // Datagram loss (full rings, malformed packets) is counted, never blocks:
 // flow export is lossy by design.
@@ -159,11 +161,28 @@ class CollectorService {
  private:
   /// Ring payload: one decoded SoA batch (a datagram's worth of records)
   /// plus its enqueue stamp, so the dequeue side can histogram ring
-  /// residency without a sidecar queue. shared_ptr because the SPSC ring
-  /// copies its payload type.
+  /// residency without a sidecar queue. The pointer does not own: a batch
+  /// belongs to its source's BatchRings while it is queued and to the
+  /// reader's `spare` slot while it is being filled.
   struct TimedBatch {
-    std::shared_ptr<netflow::FlowBatch> batch;
+    netflow::FlowBatch* batch = nullptr;
     std::int64_t enq_ns = 0;
+  };
+  /// One source's two rings. Decoded batches go to the IPD thread on
+  /// `queued`; once statistical time has copied their rows they come back
+  /// on `returned`, and the reader decodes into them again. In the steady
+  /// state a datagram allocates nothing, and no thread frees what another
+  /// allocated. Both rings have the same capacity, and every batch queued
+  /// in either is owned (and freed) here.
+  struct BatchRings {
+    explicit BatchRings(std::size_t capacity)
+        : queued(capacity), returned(capacity) {}
+    ~BatchRings();
+    BatchRings(const BatchRings&) = delete;
+    BatchRings& operator=(const BatchRings&) = delete;
+
+    SpscRing<TimedBatch> queued;             // reader -> IPD thread
+    SpscRing<netflow::FlowBatch*> returned;  // IPD thread -> reader
   };
   /// Per-source metric handles (null when no registry is configured) plus
   /// per-source hot state.
@@ -177,6 +196,10 @@ class CollectorService {
     // admission, the consumer subtracts after a batch is processed), so
     // overflow/drop accounting is per record exactly as before.
     std::atomic<std::uint64_t> records_queued{0};
+    // Reader side: the batch the next datagram decodes into — a returned
+    // one, or a new one when none is waiting. It stays here when nothing
+    // of it was enqueued (malformed, or the ring had no room).
+    std::unique_ptr<netflow::FlowBatch> spare;
     // Warn once per source, thread-safely; further records count into
     // log_dropped_total / ipd_log_dropped_total instead of vanishing.
     util::LogSite drop_warn_site;
@@ -185,7 +208,12 @@ class CollectorService {
 
   void ipd_loop();
   bool drain_once();  // returns whether any ring yielded records
-  std::size_t enqueue_batch(std::size_t source, netflow::FlowBatch&& batch);
+  // The source's spare batch, cleared, to decode into.
+  netflow::FlowBatch& reader_batch(std::size_t source);
+  // Admit the source's spare batch (or the prefix that fits) to its ring.
+  std::size_t enqueue_batch(std::size_t source);
+  // Statistical time's sink: one sealed bucket, rows in arrival order.
+  void ingest_bucket(const netflow::FlowBatch& bucket);
   void flush_engine_pending();
   // Run every stage-2 cycle due at or before `ts`.
   void run_cycles_through(util::Timestamp ts);
@@ -195,7 +223,7 @@ class CollectorService {
   CollectorConfig config_;
   core::IpdEngine engine_;
   netflow::FlowBatch engine_pending_;  // batched ingest buffer (SoA)
-  std::vector<std::unique_ptr<SpscRing<TimedBatch>>> rings_;
+  std::vector<std::unique_ptr<BatchRings>> rings_;
   std::vector<SourceMetrics> source_metrics_;
   obs::Counter* datagrams_ok_metric_ = nullptr;
   obs::Counter* datagrams_malformed_metric_ = nullptr;

@@ -7,11 +7,13 @@
 
 namespace ipd::net {
 
-Prefix::Prefix(const IpAddress& addr, int len) : addr_(addr.masked(len)), len_(len) {
+Prefix::Prefix(const IpAddress& addr, int len) : len_(len) {
+  // Checked before masking: masked() shifts by width - len.
   if (len < 0 || len > addr.width()) {
     throw std::invalid_argument("prefix length " + std::to_string(len) +
                                 " out of range for family");
   }
+  addr_ = addr.masked(len);
 }
 
 Prefix Prefix::from_string(std::string_view text) {

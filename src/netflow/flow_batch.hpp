@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -78,13 +79,33 @@ struct FlowBatch {
     ingress.push_back(link);
   }
 
-  void append(const FlowBatch& other) {
-    ts.insert(ts.end(), other.ts.begin(), other.ts.end());
-    src_ip.insert(src_ip.end(), other.src_ip.begin(), other.src_ip.end());
-    dst_ip.insert(dst_ip.end(), other.dst_ip.begin(), other.dst_ip.end());
-    packets.insert(packets.end(), other.packets.begin(), other.packets.end());
-    bytes.insert(bytes.end(), other.bytes.begin(), other.bytes.end());
-    ingress.insert(ingress.end(), other.ingress.begin(), other.ingress.end());
+  /// Append rows [begin, end) of `other`, column by column.
+  void append_rows(const FlowBatch& other, std::size_t begin,
+                   std::size_t end) {
+    const auto range = [&](auto& dst, const auto& src) {
+      dst.insert(dst.end(), src.begin() + static_cast<std::ptrdiff_t>(begin),
+                 src.begin() + static_cast<std::ptrdiff_t>(end));
+    };
+    range(ts, other.ts);
+    range(src_ip, other.src_ip);
+    range(dst_ip, other.dst_ip);
+    range(packets, other.packets);
+    range(bytes, other.bytes);
+    range(ingress, other.ingress);
+  }
+
+  /// Keep the first `n` rows (n <= size()); capacity is kept.
+  void truncate(std::size_t n) {
+    const auto cut = [n](auto& column) {
+      column.erase(column.begin() + static_cast<std::ptrdiff_t>(n),
+                   column.end());
+    };
+    cut(ts);
+    cut(src_ip);
+    cut(dst_ip);
+    cut(packets);
+    cut(bytes);
+    cut(ingress);
   }
 
   /// Materialize the row view of record i (slow paths only).

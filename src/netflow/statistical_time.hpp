@@ -7,17 +7,22 @@
 // the currently plausible time range are dropped. "This method might
 // exclude some data but ensures consistency despite clock drifts."
 //
-// The implementation is streaming: records are staged per bucket; once the
-// stream's watermark has moved `settle_buckets` past a bucket, that bucket
-// is either emitted (normalized to the bucket start) or discarded.
+// The implementation is streaming: records are staged per bucket in
+// columnar FlowBatches; once the stream's watermark has moved
+// `settle_buckets` past a bucket, that bucket is either emitted whole (its
+// records in arrival order, with their raw export timestamps) or
+// discarded. A record whose bucket is already below that bound when it
+// arrives (late, but inside the skew window) forms a bucket of its own
+// that is sealed at once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
+#include <span>
 #include <vector>
 
+#include "netflow/flow_batch.hpp"
 #include "netflow/flow_record.hpp"
 #include "util/time.hpp"
 
@@ -44,9 +49,22 @@ struct StatisticalTimeStats {
 /// receive cleaned records via the sink; call flush() at end of stream.
 class StatisticalTime {
  public:
+  /// Receives the records of an emitted bucket one at a time.
   using Sink = std::function<void(const FlowRecord&)>;
+  /// Receives an emitted bucket whole. The batch is only valid during the
+  /// call: its storage is reused for later buckets.
+  using BatchSink = std::function<void(const FlowBatch&)>;
 
+  StatisticalTime(StatisticalTimeConfig config, BatchSink sink);
   StatisticalTime(StatisticalTimeConfig config, Sink sink);
+  /// A null sink is rejected like any empty one; this overload only keeps
+  /// `nullptr` from being ambiguous between the two sink types.
+  StatisticalTime(StatisticalTimeConfig config, std::nullptr_t);
+
+  /// Offer a batch's rows in order; the same as offering each row as a
+  /// record, emitting at the same rows. May synchronously emit older,
+  /// now-settled buckets.
+  void offer(const FlowBatch& batch);
 
   /// Offer one record. May synchronously emit older, now-settled buckets.
   void offer(const FlowRecord& record);
@@ -60,15 +78,27 @@ class StatisticalTime {
   util::Timestamp watermark() const noexcept { return watermark_; }
 
  private:
+  struct Bucket {
+    std::int64_t index = 0;
+    FlowBatch rows;  // raw timestamps, arrival order
+  };
+
+  template <typename AppendRows>
+  void offer_rows(std::span<const util::Timestamp> ts, AppendRows&& append);
+  FlowBatch& staging(std::int64_t bucket);
   void seal_up_to(std::int64_t bucket_exclusive);
 
   StatisticalTimeConfig config_;
-  Sink sink_;
+  BatchSink sink_;
   StatisticalTimeStats stats_;
-  // Pending buckets keyed by bucket index; records stored with raw ts.
-  std::map<std::int64_t, std::vector<FlowRecord>> pending_;
+  // Pending buckets in ascending index order. All of them are at or above
+  // seal_bound_ between offers, and at most settle_buckets + 1 of them are
+  // open, so lookups scan from the back.
+  std::vector<Bucket> pending_;
+  std::vector<FlowBatch> spare_;  // sealed buckets' cleared storage
   util::Timestamp watermark_ = 0;
   bool have_watermark_ = false;
+  std::int64_t seal_bound_ = 0;  // valid once have_watermark_
 };
 
 }  // namespace ipd::netflow

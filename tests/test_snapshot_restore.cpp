@@ -66,19 +66,32 @@ TEST(ArenaRestore, ReproducesLayoutAndAllocationSequence) {
 
   // The decisive property: both arenas now hand out identical index
   // sequences forever (free-chain pops, then fresh slots).
+  std::vector<Arena::Index> restored_new;
+  std::vector<Arena::Index> donor_new;
   for (int i = 0; i < 1200; ++i) {
-    EXPECT_EQ(restored.alloc(std::uint64_t{1}), donor.alloc(std::uint64_t{1}))
+    restored_new.push_back(restored.alloc(std::uint64_t{1}));
+    donor_new.push_back(donor.alloc(std::uint64_t{1}));
+    EXPECT_EQ(restored_new.back(), donor_new.back())
         << "allocation " << i << " diverged";
   }
   EXPECT_EQ(restored.bytes(), donor.bytes());
+
+  // An arena must be empty when it dies.
+  for (const Arena::Index index : survivors) {
+    donor.free(index);
+    restored.free(index);
+  }
+  for (const Arena::Index index : donor_new) donor.free(index);
+  for (const Arena::Index index : restored_new) restored.free(index);
 }
 
 TEST(ArenaRestore, RejectsBadLayouts) {
   using Arena = util::IndexArena<std::uint64_t>;
   {
     Arena arena;
-    arena.alloc(std::uint64_t{1});
+    const Arena::Index live = arena.alloc(std::uint64_t{1});
     EXPECT_THROW(arena.restore_layout(4, {}), std::logic_error);
+    arena.free(live);
   }
   {
     Arena arena;
@@ -99,6 +112,7 @@ TEST(ArenaRestore, RejectsBadLayouts) {
     EXPECT_EQ(arena.alloc(std::uint64_t{7}), 1u);  // free chain pop order
     EXPECT_EQ(arena.alloc(std::uint64_t{8}), 3u);
     EXPECT_EQ(arena.alloc(std::uint64_t{9}), 4u);  // then fresh
+    for (const Arena::Index index : {0u, 1u, 2u, 3u, 4u}) arena.free(index);
   }
 }
 

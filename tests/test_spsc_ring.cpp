@@ -107,6 +107,12 @@ TEST(SpscRingWrap, SizeNeverExceedsCapacityDuringConcurrentTraffic) {
     }
   });
   std::thread consumer([&] {
+    // Pop only once the monitor has seen the ring non-empty. Until then
+    // nothing drains it, so the monitor's sighting cannot depend on how
+    // the three threads are scheduled.
+    while (max_seen.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
     std::uint64_t v = 0;
     std::uint64_t expect = 0;
     while (expect < kN) {
