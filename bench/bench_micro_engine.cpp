@@ -85,7 +85,7 @@ void BM_Stage1IngestWithMetrics(benchmark::State& state) {
   const auto& trace = shared_trace();
   obs::MetricsRegistry registry;
   core::IpdEngine engine(micro_params());
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   std::size_t i = 0;
   for (auto _ : state) {
     engine.ingest(trace[i]);
@@ -108,9 +108,8 @@ void BM_Stage1IngestFullObservability(benchmark::State& state) {
   core::DecisionLog decision_log;
   obs::Tracer tracer;
   core::IpdEngine engine(micro_params());
-  engine.attach_metrics(registry);
-  engine.attach_decision_log(decision_log);
-  engine.attach_tracer(tracer);
+  engine.observe(
+      {.metrics = &registry, .decisions = &decision_log, .tracer = &tracer});
   std::size_t i = 0;
   for (auto _ : state) {
     engine.ingest(trace[i]);
@@ -127,7 +126,7 @@ BENCHMARK(BM_Stage1IngestFullObservability);
 void BM_Stage2CycleWithMetrics(benchmark::State& state) {
   obs::MetricsRegistry registry;
   core::IpdEngine engine(micro_params());
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   const auto& trace = shared_trace();
   for (const auto& r : trace) engine.ingest(r);
   util::Timestamp now = bench::kDay1 + 21 * util::kSecondsPerHour;

@@ -128,25 +128,27 @@ struct Rig {
 
   Rig(const Attach& a, const core::IpdParams& params)
       : attach(a), engine(params) {
-    if (attach.metrics) engine.attach_metrics(registry);
+    core::EngineObservers observers;
+    if (attach.metrics) observers.metrics = &registry;
     if (attach.tracer_and_log) {
-      engine.attach_decision_log(decision_log.emplace());
-      engine.attach_tracer(tracer.emplace());
+      observers.decisions = &decision_log.emplace();
+      observers.tracer = &tracer.emplace();
     }
     if (attach.flow_period != 0) {
       flow.emplace(obs::FlowTracerConfig{.sample_period = attach.flow_period});
       flow->bind_metrics(&registry);
-      engine.attach_flow_trace(*flow);
+      observers.flow_trace = &*flow;
     }
-    if (attach.perf) engine.attach_perf(perf.emplace());
+    if (attach.perf) observers.perf = &perf.emplace();
     if (attach.profiler) profiler.emplace(obs::CpuProfilerConfig{.hz = kProfilerHz});
     if (attach.tsdb_health) {
-      engine.attach_cycle_deltas(cycle_deltas.emplace());
+      observers.cycle_deltas = &cycle_deltas.emplace();
       health.emplace(tsdb.emplace());
       health->install_default_rules(params);
       health->attach_cycle_deltas(*cycle_deltas);
       health->bind_metrics(registry);
     }
+    engine.observe(observers);
   }
 
   void feed(const std::vector<netflow::FlowBatch>& batches) {
@@ -355,7 +357,7 @@ double us_per_call(int iters, Fn&& fn) {
 std::string health_json(const Input& in) {
   core::IpdEngine engine(in.params);
   obs::MetricsRegistry registry;
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   analysis::BinnedRunner runner(engine, nullptr);
   for (const netflow::FlowRecord& r : in.trace) runner.offer(r);
   runner.finish();

@@ -140,8 +140,10 @@ void HealthEngine::install_default_rules(const core::IpdParams& params) {
   burst.reason = "demotions in the window exceed the burst threshold";
   add_rule(std::move(burst));
 
-  // Collector ring drops: any increase means flow records were lost before
-  // the engine saw them (ingest undercount -> silently wrong shares).
+  // Collector ring refusals: records a full reader ring refused are lost
+  // before the engine sees them (ingest undercount -> silently wrong
+  // shares) unless the reader resubmits them, which the collector cannot
+  // see.
   ThresholdRule drops;
   drops.name = "collector-ring-drops";
   drops.component = "collector";
@@ -151,7 +153,8 @@ void HealthEngine::install_default_rules(const core::IpdParams& params) {
   drops.cmp = ThresholdRule::Cmp::GreaterThan;
   drops.threshold = 0.0;
   drops.window_points = config_.window_points;
-  drops.reason = "flow records dropped on a full reader ring";
+  drops.reason =
+      "flow records refused by a full reader ring (lost unless resubmitted)";
   add_rule(std::move(drops));
 
   // Accuracy regression vs. the trailing window: the per-bin validation

@@ -105,7 +105,7 @@ std::string flow_journey_text(const obs::FlowJourney& journey,
   return out;
 }
 
-IntrospectionServer::IntrospectionServer(core::EngineBase& engine,
+IntrospectionServer::IntrospectionServer(core::IpdEngine& engine,
                                          obs::InstrumentedMutex& engine_mutex,
                                          IntrospectionConfig config)
     : engine_(engine), engine_mutex_(engine_mutex), config_(config) {
@@ -200,7 +200,7 @@ obs::HttpResponse IntrospectionServer::handle_healthz(const obs::HttpRequest&) {
 }
 
 obs::HttpResponse IntrospectionServer::handle_metrics(const obs::HttpRequest&) {
-  const obs::MetricsRegistry* registry = engine_.metrics_registry();
+  const obs::MetricsRegistry* registry = engine_.observers().metrics;
   if (registry == nullptr) return not_attached("metrics registry");
   // flush_ingest() publishes the delta-buffered stage-1 counters so a
   // scrape between cycles is not up to one cycle stale.
@@ -298,7 +298,7 @@ obs::HttpResponse IntrospectionServer::handle_explain(
   }
 
   body += ",\"events\":[";
-  if (const core::DecisionLog* log = engine_.decision_log()) {
+  if (const core::DecisionLog* log = engine_.observers().decisions) {
     const auto events = log->events_covering(ip);
     for (std::size_t i = 0; i < events.size(); ++i) {
       if (i != 0) body += ',';
@@ -313,7 +313,7 @@ obs::HttpResponse IntrospectionServer::handle_explain(
 
 obs::HttpResponse IntrospectionServer::handle_decisions(
     const obs::HttpRequest& request) {
-  const core::DecisionLog* log = engine_.decision_log();
+  const core::DecisionLog* log = engine_.observers().decisions;
   if (log == nullptr) return not_attached("decision log");
   std::size_t limit = 0;
   try {
@@ -340,7 +340,7 @@ obs::HttpResponse IntrospectionServer::handle_decisions(
 
 obs::HttpResponse IntrospectionServer::handle_trace(
     const obs::HttpRequest& request) {
-  const obs::Tracer* tracer = engine_.tracer();
+  const obs::Tracer* tracer = engine_.observers().tracer;
   if (tracer == nullptr) return not_attached("tracer");
   std::size_t limit = 0;
   try {
@@ -461,8 +461,9 @@ obs::HttpResponse IntrospectionServer::handle_timeseries(
 }
 
 obs::HttpResponse IntrospectionServer::handle_perf(const obs::HttpRequest&) {
-  if (perf_ == nullptr) return not_attached("perf counters");
-  return obs::HttpResponse::json(perf_->to_json());
+  const obs::PerfCounters* perf = engine_.observers().perf;
+  if (perf == nullptr) return not_attached("perf counters");
+  return obs::HttpResponse::json(perf->to_json());
 }
 
 obs::HttpResponse IntrospectionServer::handle_snapshot(const obs::HttpRequest&) {
@@ -538,7 +539,9 @@ obs::HttpResponse IntrospectionServer::handle_profile(
 
 obs::HttpResponse IntrospectionServer::handle_flows(
     const obs::HttpRequest& request) {
-  if (flow_trace_ == nullptr) return not_attached("flow tracer");
+  const core::EngineObservers observers = engine_.observers();
+  const obs::FlowTracer* tracer = observers.flow_trace;
+  if (tracer == nullptr) return not_attached("flow tracer");
   std::size_t limit = 0;
   try {
     limit = uint_param(request, "limit", 0, SIZE_MAX / 2);
@@ -554,10 +557,10 @@ obs::HttpResponse IntrospectionServer::handle_flows(
     }
   }
 
-  auto journeys = flow_trace_->journeys(limit);
+  auto journeys = tracer->journeys(limit);
   // The decision log is internally synchronized, so correlation happens
   // here without the engine mutex — /flows never stalls ingest.
-  const core::DecisionLog* log = engine_.decision_log();
+  const core::DecisionLog* log = observers.decisions;
 
   if (text) {
     return obs::HttpResponse::stream(
@@ -573,10 +576,10 @@ obs::HttpResponse IntrospectionServer::handle_flows(
   const std::string head = util::format(
       "{\"sample_period\":%llu,\"flows_sampled\":%llu,\"hops_recorded\":%llu,"
       "\"evicted\":%llu,\"returned\":%zu,\"flows\":[",
-      static_cast<unsigned long long>(flow_trace_->sample_period()),
-      static_cast<unsigned long long>(flow_trace_->flows_sampled()),
-      static_cast<unsigned long long>(flow_trace_->hops_recorded()),
-      static_cast<unsigned long long>(flow_trace_->journeys_evicted()),
+      static_cast<unsigned long long>(tracer->sample_period()),
+      static_cast<unsigned long long>(tracer->flows_sampled()),
+      static_cast<unsigned long long>(tracer->hops_recorded()),
+      static_cast<unsigned long long>(tracer->journeys_evicted()),
       journeys.size());
   // Streamed one journey per chunk: each journey with its correlated
   // decisions can run to a few KiB, and the ring holds hundreds.

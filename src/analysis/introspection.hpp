@@ -31,10 +31,10 @@
 // `engine_mutex` around engine access, and the ingest side must hold the
 // same mutex around offer()/run_cycle() batches. The mutex is an
 // obs::InstrumentedMutex — introspection-vs-ingest contention shows up in
-// /locks like every other site. The decision log, tracer, time-series
-// store and health engine are internally synchronized and are read without
-// the engine mutex, so /trace /decisions /health /alerts /timeseries
-// /threads /locks never stall ingest.
+// /locks like every other site. The engine's sinks, the time-series store
+// and the health engine are internally synchronized and are read without
+// the engine mutex, so /trace /decisions /perf /flows /health /alerts
+// /timeseries /threads /locks never stall ingest.
 #pragma once
 
 #include <cstdint>
@@ -79,11 +79,12 @@ struct IntrospectionConfig {
 
 class IntrospectionServer {
  public:
-  /// `engine` and `engine_mutex` must outlive the server. The metrics
-  /// registry, decision log and tracer are discovered through the engine's
-  /// attachments at request time — attaching them before or after
-  /// construction both work.
-  IntrospectionServer(core::EngineBase& engine,
+  /// `engine` and `engine_mutex` must outlive the server. /metrics,
+  /// /decisions, /trace, /perf and /flows find their sinks through
+  /// engine.observers() at request time, and a streamed response keeps
+  /// reading them, so a sink replaced by observe() must still outlive the
+  /// server. /profile samples the process.
+  IntrospectionServer(core::IpdEngine& engine,
                       obs::InstrumentedMutex& engine_mutex,
                       IntrospectionConfig config = {});
 
@@ -96,17 +97,6 @@ class IntrospectionServer {
   /// Serve /timeseries from `store` (same lifetime/locking contract).
   void attach_timeseries(const obs::TimeSeriesStore& store) noexcept {
     timeseries_ = &store;
-  }
-
-  /// Serve /perf from `perf` (internally synchronized; must outlive the
-  /// server). /profile needs no attachment — it samples the process.
-  void attach_perf(const obs::PerfCounters& perf) noexcept { perf_ = &perf; }
-
-  /// Serve /flows from `tracer` (internally synchronized; must outlive
-  /// the server). Stage-2 correlation uses the engine's decision log when
-  /// one is attached.
-  void attach_flow_trace(const obs::FlowTracer& tracer) noexcept {
-    flow_trace_ = &tracer;
   }
 
   /// Serve /snapshot from `telemetry` (internally synchronized; must
@@ -158,13 +148,11 @@ class IntrospectionServer {
   obs::HttpResponse handle_locks(const obs::HttpRequest& request);
   obs::HttpResponse handle_shards(const obs::HttpRequest& request);
 
-  core::EngineBase& engine_;
+  core::IpdEngine& engine_;
   obs::InstrumentedMutex& engine_mutex_;
   IntrospectionConfig config_;
   const HealthEngine* health_ = nullptr;
   const obs::TimeSeriesStore* timeseries_ = nullptr;
-  const obs::PerfCounters* perf_ = nullptr;
-  const obs::FlowTracer* flow_trace_ = nullptr;
   const obs::Watchdog* watchdog_ = nullptr;
   const core::SnapshotTelemetry* snapshots_ = nullptr;
   obs::HttpServer server_;

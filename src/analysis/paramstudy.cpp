@@ -24,7 +24,7 @@ ParamStudyMetrics evaluate_params(const std::vector<netflow::FlowRecord>& trace,
   // The resource metrics below (cycle time percentiles, per-phase
   // breakdown, honest memory totals) come from the metrics subsystem.
   obs::MetricsRegistry registry;
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   ValidationRun validation(topo, universe);
   BinnedRunner runner(engine, &validation);
   StabilityTracker stability;

@@ -6,15 +6,10 @@
 
 namespace ipd::analysis {
 
-BinnedRunner::BinnedRunner(core::EngineBase& engine, ValidationRun* validation,
+BinnedRunner::BinnedRunner(core::IpdEngine& engine, ValidationRun* validation,
                            RunnerConfig config)
     : engine_(engine), validation_(validation), config_(config) {
   pending_.reserve(config_.ingest_batch);
-  // The replay loop is this pipeline's "datagram decode": there is no
-  // collector in front to tag sampled flows, so have the engine
-  // synthesize the Decode hop as records enter stage 1 — journeys still
-  // begin with a decode hop, at no extra hash on the unsampled hot path.
-  engine.set_flow_trace_synth_decode(true);
 }
 
 std::uint64_t BinnedRunner::bin_buffer_bytes() const noexcept {
@@ -25,8 +20,8 @@ std::uint64_t BinnedRunner::bin_buffer_bytes() const noexcept {
 void BinnedRunner::flush_pending() {
   if (pending_.empty()) return;
   // One span per hand-off (up to ingest_batch records), never one per flow.
-  const obs::Layer layer("stage1.batch", 1, nullptr, engine_.tracer(),
-                         nullptr);
+  const obs::Layer layer("stage1.batch", 1, nullptr,
+                         engine_.observers().tracer, nullptr);
   obs::Scope scope(layer);
   engine_.apply_batch(pending_);
   scope.close({{"flows", static_cast<double>(pending_.size())}});
@@ -65,7 +60,8 @@ void BinnedRunner::advance_to(util::Timestamp ts) {
 void BinnedRunner::take_snapshot(util::Timestamp ts) {
   // The span covers the snapshot and the LPM build only — not validation
   // or the callbacks below.
-  const obs::Layer layer("snapshot", 1, nullptr, engine_.tracer(), nullptr);
+  const core::EngineObservers observers = engine_.observers();
+  const obs::Layer layer("snapshot", 1, nullptr, observers.tracer, nullptr);
   obs::Scope scope(layer);
   const core::Snapshot snapshot = core::take_snapshot(engine_, ts);
   const core::LpmTable table = core::LpmTable::from_snapshot(snapshot);
@@ -76,7 +72,7 @@ void BinnedRunner::take_snapshot(util::Timestamp ts) {
   bin_buffer_.clear();
   if (on_snapshot) on_snapshot(ts, snapshot, table);
   ++snapshots_;
-  if (obs::MetricsRegistry* registry = engine_.metrics_registry()) {
+  if (obs::MetricsRegistry* registry = observers.metrics) {
     // Data-time freshness at the publish boundary: how far the newest
     // offered record has run ahead of the table just published. Wall-clock
     // lag is meaningless in replay (timestamps are simulated), so the

@@ -14,12 +14,12 @@
 // interleave its trie descents and amortize its per-shard locking to once
 // per shard per batch.
 //
-// When the engine has a metrics registry attached, the runner fires the
+// When the engine's bundle has a metrics registry, the runner fires the
 // `on_metrics` hook once per bin (right after `on_snapshot`), so callers
 // can flush a Prometheus/JSON snapshot at the deployment's output cadence.
-// With a tracer attached it records `stage1.batch` spans per apply_batch
-// and `snapshot` spans over the snapshot plus LPM build (not validation or
-// the callbacks).
+// With a tracer it records `stage1.batch` spans per apply_batch and
+// `snapshot` spans over the snapshot plus LPM build (not validation or the
+// callbacks). Callers tracing flows through a runner set synth_decode.
 #pragma once
 
 #include <functional>
@@ -45,7 +45,7 @@ struct RunnerConfig {
 class BinnedRunner {
  public:
   /// `validation` may be null (no accuracy evaluation).
-  BinnedRunner(core::EngineBase& engine, ValidationRun* validation,
+  BinnedRunner(core::IpdEngine& engine, ValidationRun* validation,
                RunnerConfig config = {});
 
   /// Offer one record (must arrive in non-decreasing bin order).
@@ -97,7 +97,7 @@ class BinnedRunner {
   void flush_pending();
   std::uint64_t bin_buffer_bytes() const noexcept;
 
-  core::EngineBase& engine_;
+  core::IpdEngine& engine_;
   ValidationRun* validation_;
   RunnerConfig config_;
   std::vector<core::CycleStats> cycles_;

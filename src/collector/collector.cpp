@@ -45,16 +45,21 @@ CollectorService::CollectorService(core::IpdParams params,
     rings_.push_back(std::make_unique<BatchRings>(config_.ring_capacity));
   }
   ipfix_parsers_.resize(n_sources);
+  if (config_.metrics != nullptr) obs::register_build_info(*config_.metrics);
+  // The readers record Decode hops themselves: synth_decode stays off.
+  engine_.observe({.metrics = config_.metrics,
+                   .perf = config_.perf,
+                   .flow_trace = config_.flow_trace});
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *config_.metrics;
-    obs::register_build_info(registry);
-    engine_.attach_metrics(registry);
     for (std::size_t i = 0; i < n_sources; ++i) {
       const obs::Labels source{{"source", std::to_string(i)}};
       source_metrics_[i].ring_depth = &registry.gauge(
           "ipd_ring_depth", "Flow records queued in the reader ring", source);
       source_metrics_[i].ring_dropped = &registry.counter(
-          "ipd_ring_dropped_total", "Flow records dropped on a full ring",
+          "ipd_ring_dropped_total",
+          "Flow records refused by a full reader ring (lost unless the "
+          "reader resubmits them)",
           source);
       source_metrics_[i].flows_enqueued = &registry.counter(
           "ipd_ring_enqueued_total", "Flow records accepted into the ring",
@@ -81,7 +86,6 @@ CollectorService::CollectorService(core::IpdParams params,
         "minus the data time of the last published LPM table");
   }
   if (config_.perf != nullptr) {
-    engine_.attach_perf(*config_.perf);
     drain_layer_ = obs::Layer("collector.drain", 1, nullptr, nullptr,
                               config_.perf);
   }
@@ -91,11 +95,8 @@ CollectorService::CollectorService(core::IpdParams params,
     wd_cycle_task_ = config_.watchdog->register_task("engine.cycle",
                                                      config_.cycle_budget_ms);
   }
-  if (config_.flow_trace != nullptr) {
-    engine_.attach_flow_trace(*config_.flow_trace);
-    if (config_.metrics != nullptr) {
-      config_.flow_trace->bind_metrics(config_.metrics);
-    }
+  if (config_.flow_trace != nullptr && config_.metrics != nullptr) {
+    config_.flow_trace->bind_metrics(config_.metrics);
   }
   // Statistical time sits between the rings and the engine: drifted or
   // implausible router timestamps are normalized/discarded before they can
@@ -191,7 +192,7 @@ std::size_t CollectorService::enqueue_batch(std::size_t source) {
   // Admission: the record budget bounds in-flight records at the ring's
   // rounded capacity, exactly the record-ring semantics. The prefix that
   // fits is admitted as one batch handle (cut in place); the tail is
-  // dropped per record.
+  // refused per record: lost unless the caller resubmits it.
   const std::size_t budget = ring.capacity();
   const std::uint64_t queued = sm.records_queued.load(std::memory_order_acquire);
   const std::size_t remaining =
@@ -232,15 +233,15 @@ std::size_t CollectorService::enqueue_batch(std::size_t source) {
       sm.records_queued.fetch_sub(accept, std::memory_order_release);
     }
   }
-  const std::size_t dropped = n - accepted;
-  if (dropped > 0) {
-    flows_dropped_.fetch_add(dropped, std::memory_order_relaxed);
-    if (sm.ring_dropped) sm.ring_dropped->inc(dropped);
+  const std::size_t refused = n - accepted;
+  if (refused > 0) {
+    flows_dropped_.fetch_add(refused, std::memory_order_relaxed);
+    if (sm.ring_dropped) sm.ring_dropped->inc(refused);
     util::log_limited(sm.drop_warn_site, 1, util::LogLevel::Warn,
-                      "collector: ring full, dropping flow records (flow "
-                      "export is lossy)",
+                      "collector: ring full, refusing flow records (lost "
+                      "unless the reader resubmits them)",
                       {{"source", source},
-                       {"dropped", dropped},
+                       {"refused", refused},
                        {"capacity", ring.capacity()}});
   }
   flows_enqueued_.fetch_add(accepted, std::memory_order_relaxed);

@@ -17,8 +17,10 @@
 //     -> ingests sealed buckets via the engine's batched apply path, fires
 //        stage-2 cycles on data time
 //
-// Datagram loss (full rings, malformed packets) is counted, never blocks:
-// flow export is lossy by design.
+// A full ring refuses the records that do not fit, and a malformed
+// datagram is discarded; both are counted and neither blocks, since flow
+// export is lossy by design. A refused record is lost unless the reader
+// resubmits it (submit_* returns how many were accepted).
 #pragma once
 
 #include <atomic>
@@ -59,18 +61,13 @@ struct CollectorConfig {
   // minutes ahead of the others in data time — the statistical-time skew
   // filter would otherwise discard the laggards' records as implausible.
   std::size_t drain_batch = 256;
-  // Optional metrics sink (must outlive the service). The engine is
-  // attached to it, and the collector adds per-source ring depth/drop
-  // series plus datagram counters.
+  // Optional sinks (each must outlive the service), handed to the engine
+  // as its observer bundle. The collector also adds per-source ring and
+  // datagram series to `metrics`, charges busy drain rounds to a
+  // "collector.drain" `perf` phase, and records decode, ring-enqueue and
+  // ring-dequeue hops for sampled flows in `flow_trace`.
   obs::MetricsRegistry* metrics = nullptr;
-  // Optional perf-counter sink (must outlive the service). The engine is
-  // attached to it (stage-1/stage-2 phases), and the IPD thread charges
-  // busy drain rounds to a "collector.drain" phase.
   obs::PerfCounters* perf = nullptr;
-  // Optional flow-provenance tracer (must outlive the service). Readers
-  // record decode + ring-enqueue hops for hash-sampled flows, the IPD
-  // thread records ring-dequeue, and the engine is attached for shard
-  // routing / trie-apply hops.
   obs::FlowTracer* flow_trace = nullptr;
   // Optional stall watchdog (must outlive the service). The collector
   // registers two tasks: "collector.drain", beaten every IPD-loop round
@@ -97,6 +94,7 @@ struct CollectorStats {
   std::uint64_t datagrams_in = 0;
   std::uint64_t datagrams_malformed = 0;
   std::uint64_t flows_enqueued = 0;
+  // Records a full ring refused; lost unless the reader resubmitted them.
   std::uint64_t flows_dropped_ring = 0;
   std::uint64_t flows_ingested = 0;
   std::uint64_t cycles_run = 0;

@@ -67,7 +67,8 @@ const char* to_string(CyclePhase phase) noexcept {
 // ---------------------------------------------------------------------------
 // EngineMetrics
 
-EngineMetrics::EngineMetrics(obs::MetricsRegistry& registry)
+EngineMetrics::EngineMetrics(obs::MetricsRegistry& registry,
+                             std::size_t shard_count)
     : registry_(&registry) {
   for (int f = 0; f < 2; ++f) {
     const obs::Labels family{{"family", family_label(f)}};
@@ -110,6 +111,46 @@ EngineMetrics::EngineMetrics(obs::MetricsRegistry& registry)
   memory_bytes = &registry.gauge(
       "ipd_memory_bytes",
       "Exact trie heap plus observability-layer heap usage");
+  // Per-shard stage-1 instruments. Beyond 64 shards the label cardinality
+  // stops paying for itself: fall back to one aggregate series.
+  const bool per_shard = shard_count <= 64;
+  const std::size_t slots = per_shard ? shard_count : 1;
+  for (std::size_t i = 0; i < slots; ++i) {
+    const obs::Labels labels{
+        {"shard", per_shard ? std::to_string(i) : std::string("all")}};
+    shard_queue_delay.push_back(&registry.histogram(
+        "ipd_shard_queue_delay_seconds",
+        "Stage-1 fan-out delay: batch bucketing start to the worker "
+        "beginning the shard's bucket",
+        obs::Histogram::exponential_bounds(1e-6, 4.0, 12), labels));
+  }
+  if (per_shard) {
+    for (int f = 0; f < 2; ++f) {
+      for (std::size_t i = 0; i < shard_count; ++i) {
+        shard_flows.push_back(&registry.gauge(
+            "ipd_shard_flows",
+            "Lifetime flows ingested per shard slot (occupancy skew)",
+            obs::Labels{{"family", family_label(f)},
+                        {"shard", std::to_string(i)}}));
+      }
+    }
+  }
+  // Occupancy distribution and balance summary (both families share the
+  // histogram; the imbalance/cut gauges are per family). These read the
+  // per-interval deltas measured at every cut republish.
+  shard_occupancy = &registry.histogram(
+      "ipd_shard_occupancy",
+      "Flow records routed to one shard slot during one stage-2 interval",
+      obs::Histogram::exponential_bounds(1.0, 4.0, 16));
+  for (int f = 0; f < 2; ++f) {
+    const obs::Labels labels{{"family", family_label(f)}};
+    shard_imbalance[f] = &registry.gauge(
+        "ipd_shard_imbalance_ratio",
+        "Max over mean per-shard flow delta of the last stage-2 interval",
+        labels);
+    cut_members[f] = &registry.gauge(
+        "ipd_cut_members", "Cut members (stage-2 parallel units)", labels);
+  }
 }
 
 obs::Counter& EngineMetrics::link_counter(topology::LinkId link) {
@@ -163,6 +204,27 @@ std::uint64_t CycleDeltaLog::total_recorded() const {
 std::uint64_t CycleDeltaLog::dropped() const {
   const std::lock_guard<obs::InstrumentedMutex> lock(mutex_);
   return dropped_;
+}
+
+std::size_t CycleDeltaLog::memory_bytes() const {
+  const std::lock_guard<obs::InstrumentedMutex> lock(mutex_);
+  std::size_t bytes = sizeof(CycleDeltaLog) +
+                      items_.capacity() * sizeof(RangeTransition);
+  for (const RangeTransition& t : items_) {
+    bytes += t.ingress.ifaces.capacity() * sizeof(topology::InterfaceIndex);
+  }
+  return bytes;
+}
+
+std::uint64_t EngineObservers::memory_bytes() const {
+  std::uint64_t bytes = 0;
+  if (metrics) bytes += metrics->memory_bytes();
+  if (decisions) bytes += decisions->memory_bytes();
+  if (tracer) bytes += tracer->memory_bytes();
+  if (cycle_deltas) bytes += cycle_deltas->memory_bytes();
+  if (perf) bytes += perf->memory_bytes();
+  if (flow_trace) bytes += flow_trace->memory_bytes();
+  return bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -313,78 +375,41 @@ std::size_t IpdEngine::parallel_units(net::Family family) const {
   return family_state(family).cut.size();
 }
 
-void IpdEngine::attach_metrics(obs::MetricsRegistry& registry) {
+void IpdEngine::observe(const EngineObservers& observers) {
   const std::unique_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
-  metrics_ = std::make_unique<EngineMetrics>(registry);
-  // Per-shard stage-1 instruments. Beyond 64 shards the label cardinality
-  // stops paying for itself: fall back to one aggregate series.
-  shard_queue_delay_.clear();
-  shard_flows_.clear();
-  const bool per_shard = shard_count_ <= 64;
-  const std::size_t slots = per_shard ? shard_count_ : 1;
-  for (std::size_t i = 0; i < slots; ++i) {
-    const obs::Labels labels{
-        {"shard", per_shard ? std::to_string(i) : std::string("all")}};
-    shard_queue_delay_.push_back(&registry.histogram(
-        "ipd_shard_queue_delay_seconds",
-        "Stage-1 fan-out delay: batch bucketing start to the worker "
-        "beginning the shard's bucket",
-        obs::Histogram::exponential_bounds(1e-6, 4.0, 12), labels));
+  if (observers.metrics != observers_.metrics) {
+    // Stage-1 counts buffered under the old registry belong to it.
+    if (metrics_) flush_deltas_locked();
+    metrics_ = observers.metrics != nullptr
+                   ? std::make_unique<EngineMetrics>(*observers.metrics,
+                                                     shard_count_)
+                   : nullptr;
   }
-  if (per_shard) {
-    for (const FamilyState* state : {&v4_, &v6_}) {
-      const char* fam = family_label(family_index(state->family));
-      for (std::size_t i = 0; i < shard_count_; ++i) {
-        shard_flows_.push_back(&registry.gauge(
-            "ipd_shard_flows",
-            "Lifetime flows ingested per shard slot (occupancy skew)",
-            obs::Labels{{"family", fam}, {"shard", std::to_string(i)}}));
-      }
-    }
-  }
-  // Occupancy distribution and balance summary (both families share the
-  // histogram; the imbalance/cut gauges are per family). These read the
-  // per-interval deltas measured at every cut republish.
-  shard_occupancy_ = &registry.histogram(
-      "ipd_shard_occupancy",
-      "Flow records routed to one shard slot during one stage-2 interval",
-      obs::Histogram::exponential_bounds(1.0, 4.0, 16));
-  for (const FamilyState* state : {&v4_, &v6_}) {
-    const int f = family_index(state->family);
-    const obs::Labels labels{{"family", family_label(f)}};
-    shard_imbalance_[f] = &registry.gauge(
-        "ipd_shard_imbalance_ratio",
-        "Max over mean per-shard flow delta of the last stage-2 interval",
-        labels);
-    cut_members_[f] = &registry.gauge(
-        "ipd_cut_members", "Cut members (stage-2 parallel units)", labels);
-  }
-  rewire_layers();
-}
-
-void IpdEngine::attach_tracer(obs::Tracer& tracer) {
-  const std::unique_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
-  tracer_ = &tracer;
-  rewire_layers();
-}
-
-void IpdEngine::attach_perf(obs::PerfCounters& perf) {
-  const std::unique_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
-  perf_ = &perf;
-  rewire_layers();
-}
-
-void IpdEngine::rewire_layers() {
-  // No stage-1 span: the runner records one per batch hand-off itself.
-  stage1_layer_ = obs::Layer("stage1.ingest", 1, nullptr, nullptr, perf_);
+  observers_ = observers;
+  // Re-derive every timed layer from the new sinks. No stage-1 span: the
+  // runner records one per batch hand-off itself.
+  obs::PerfCounters* perf = observers_.perf;
+  obs::Tracer* tracer = observers_.tracer;
+  stage1_layer_ = obs::Layer("stage1.ingest", 1, nullptr, nullptr, perf);
   EngineMetrics* m = metrics_.get();
   cycle_layer_ = obs::Layer("stage2.cycle", kStage2Lane,
-                            m ? m->cycle_seconds : nullptr, tracer_, perf_);
+                            m ? m->cycle_seconds : nullptr, tracer, perf);
   for (std::size_t i = 0; i < kNumCyclePhases; ++i) {
     phase_layers_[i] = obs::Layer(kPhaseSpan[i], kStage2Lane,
-                                  m ? m->phase_seconds[i] : nullptr, tracer_,
-                                  perf_);
+                                  m ? m->phase_seconds[i] : nullptr, tracer,
+                                  perf);
   }
+}
+
+EngineObservers IpdEngine::observers() const {
+  const std::shared_lock<obs::InstrumentedSharedMutex> lock(structure_mutex_);
+  return observers_;
+}
+
+void IpdEngine::attach_metrics(obs::MetricsRegistry& registry) {
+  EngineObservers next = observers();
+  next.metrics = &registry;
+  observe(next);
 }
 
 void IpdEngine::rebuild_cut(FamilyState& state) {
@@ -462,12 +487,13 @@ std::uint64_t IpdEngine::trace_route(util::Timestamp ts,
                                      topology::LinkId ingress,
                                      std::size_t slot) const noexcept {
   const std::uint64_t id = obs::FlowTracer::flow_id(ts, masked, ingress);
-  if (!flow_trace_->sampled(id)) return 0;
-  if (flow_trace_synth_decode_) {
-    flow_trace_->record(id, obs::FlowHopKind::Decode, ts, masked, ingress);
+  obs::FlowTracer& tracer = *observers_.flow_trace;
+  if (!tracer.sampled(id)) return 0;
+  if (observers_.synth_decode) {
+    tracer.record(id, obs::FlowHopKind::Decode, ts, masked, ingress);
   }
-  flow_trace_->record(id, obs::FlowHopKind::ShardRoute, ts, masked, ingress,
-                      static_cast<std::uint32_t>(slot));
+  tracer.record(id, obs::FlowHopKind::ShardRoute, ts, masked, ingress,
+                static_cast<std::uint32_t>(slot));
   return id;
 }
 
@@ -489,10 +515,10 @@ void IpdEngine::ingest(util::Timestamp ts, const net::IpAddress& src_ip,
     slot.deltas.weight += weight;
     slot.deltas.count_link(ingress, link_cache_bits_);
   }
-  if (flow_trace_) {
+  if (obs::FlowTracer* tracer = observers_.flow_trace) {
     if (const std::uint64_t id = trace_route(ts, masked, ingress, slot_idx)) {
-      flow_trace_->record(id, obs::FlowHopKind::TrieApply, ts, masked,
-                          ingress, static_cast<std::uint32_t>(slot_idx));
+      tracer->record(id, obs::FlowHopKind::TrieApply, ts, masked, ingress,
+                     static_cast<std::uint32_t>(slot_idx));
     }
   }
 }
@@ -534,7 +560,7 @@ void IpdEngine::apply_batch(const netflow::FlowBatch& batch) noexcept {
     st.leaf.resize(n);
     st.ops.resize(n);
   }
-  if (flow_trace_ != nullptr) {
+  if (observers_.flow_trace != nullptr) {
     st.flow_id.assign(n, 0);
   } else {
     st.flow_id.clear();
@@ -554,7 +580,7 @@ void IpdEngine::apply_batch(const netflow::FlowBatch& batch) noexcept {
     std::vector<std::uint32_t>& rows = st.buckets[bucket];
     if (rows.empty()) st.active.push_back(static_cast<std::uint32_t>(bucket));
     rows.push_back(static_cast<std::uint32_t>(i));
-    if (flow_trace_ != nullptr) {
+    if (observers_.flow_trace != nullptr) {
       st.flow_id[i] = trace_route(batch.ts[i], masked, batch.ingress[i], slot);
     }
   }
@@ -569,15 +595,12 @@ void IpdEngine::apply_batch(const netflow::FlowBatch& batch) noexcept {
   // Queue-delay baseline: the fan-out hand-off point. Workers subtract it
   // when they pick a bucket up, so the histogram captures pool scheduling
   // latency, not the bucket's own trie work.
-  const std::int64_t fanout_ns =
-      shard_queue_delay_.empty() ? 0 : obs::monotonic_ns();
+  const std::int64_t fanout_ns = metrics_ ? obs::monotonic_ns() : 0;
   pool_->run(st.active.size(), [&](std::size_t a) {
     if (fanout_ns != 0) {
-      const std::size_t slot = st.active[a] % shard_count_;
-      if (obs::Histogram* hist = queue_delay_hist(slot)) {
-        hist->observe(
-            static_cast<double>(obs::monotonic_ns() - fanout_ns) * 1e-9);
-      }
+      metrics_->queue_delay(st.active[a] % shard_count_)
+          .observe(static_cast<double>(obs::monotonic_ns() - fanout_ns) *
+                   1e-9);
     }
     apply_bucket(batch, st, a);
   });
@@ -645,9 +668,9 @@ void IpdEngine::apply_bucket(const netflow::FlowBatch& batch, Staging& st,
   if (!st.flow_id.empty()) {
     for (const std::uint32_t i : rows) {
       if (st.flow_id[i] == 0) continue;
-      flow_trace_->record(st.flow_id[i], obs::FlowHopKind::TrieApply,
-                          batch.ts[i], st.masked[i], batch.ingress[i],
-                          static_cast<std::uint32_t>(slot_idx));
+      observers_.flow_trace->record(
+          st.flow_id[i], obs::FlowHopKind::TrieApply, batch.ts[i],
+          st.masked[i], batch.ingress[i], static_cast<std::uint32_t>(slot_idx));
     }
   }
 }
@@ -675,7 +698,7 @@ void IpdEngine::spine_pass(FamilyState& state, RangeNode& node,
 
 void IpdEngine::cycle_family(FamilyState& state, util::Timestamp now,
                              CycleStats& out, PhaseAccum& phases) {
-  const CycleSinks global_sinks{decision_log_, cycle_deltas_};
+  const CycleSinks global_sinks{observers_.decisions, observers_.cycle_deltas};
   const std::size_t units = state.cut.size();
   if (units <= 1) {
     // One unit means the cut is the root itself (unrefined family, or
@@ -697,17 +720,19 @@ void IpdEngine::cycle_family(FamilyState& state, util::Timestamp now,
   std::vector<UnitResult> results(units);
   for (UnitResult& r : results) {
     r.phases.enabled = phases.enabled;
-    if (decision_log_) {
+    if (observers_.decisions) {
       r.decisions = std::make_unique<DecisionLog>(kUnitSinkCapacity);
     }
-    if (cycle_deltas_) {
+    if (observers_.cycle_deltas) {
       r.transitions = std::make_unique<CycleDeltaLog>(kUnitSinkCapacity);
     }
   }
   pool_->run(units, [&](std::size_t i) {
     // thread_sampler() binds to the *executing* thread (worker or caller),
     // so each unit's rdpmc reads hit that thread's own counter group.
-    if (perf_ != nullptr) results[i].phases.sampler = perf_->thread_sampler();
+    if (observers_.perf != nullptr) {
+      results[i].phases.sampler = observers_.perf->thread_sampler();
+    }
     const CycleSinks sinks{results[i].decisions.get(),
                            results[i].transitions.get()};
     cycle_over_subtree(state.trie, state.trie.node(state.cut[i]), params_, now,
@@ -727,12 +752,12 @@ void IpdEngine::cycle_family(FamilyState& state, util::Timestamp now,
     }
     if (r.decisions) {
       for (DecisionEvent event : r.decisions->snapshot()) {
-        decision_log_->record(event);  // re-stamps the global sequence
+        observers_.decisions->record(event);  // re-stamps the global sequence
       }
     }
     if (r.transitions) {
       for (RangeTransition& t : r.transitions->drain()) {
-        cycle_deltas_->push(std::move(t));
+        observers_.cycle_deltas->push(std::move(t));
       }
     }
   }
@@ -753,10 +778,10 @@ CycleStats IpdEngine::run_cycle(util::Timestamp now) {
   // counters, so the perf sink alone keeps phase timing on.
   PhaseAccum phases;
   phases.enabled = phase_layers_[0].active();
-  if (perf_ != nullptr) {
+  if (observers_.perf != nullptr) {
     // Calling-thread sampler covers the single-unit path and spine passes;
     // workers pick up their own inside cycle_family.
-    phases.sampler = perf_->thread_sampler();
+    phases.sampler = observers_.perf->thread_sampler();
   }
   cycle_family(v4_, now, out, phases);
   cycle_family(v6_, now, out, phases);
@@ -775,10 +800,7 @@ CycleStats IpdEngine::run_cycle(util::Timestamp now) {
   }
   // Honest resource accounting: the observability layers themselves occupy
   // heap. (The runner additionally adds its validation bin buffer.)
-  if (metrics_) out.memory_bytes += metrics_->registry().memory_bytes();
-  if (decision_log_) out.memory_bytes += decision_log_->memory_bytes();
-  if (tracer_) out.memory_bytes += tracer_->memory_bytes();
-  if (perf_) out.memory_bytes += perf_->memory_bytes();
+  out.memory_bytes += observers_.memory_bytes();
 
   // Phase time is accumulated across the whole tree walk (and summed over
   // workers), not contiguous intervals: lay the totals end to end from the
@@ -938,8 +960,8 @@ void IpdEngine::flush_deltas_locked() {
         metrics_->link_counter(link_from_key(key)).inc(count);
       }
       deltas.overflow.clear();
-      if (gauge < shard_flows_.size()) {
-        shard_flows_[gauge]->set(static_cast<double>(
+      if (gauge < metrics_->shard_flows.size()) {
+        metrics_->shard_flows[gauge]->set(static_cast<double>(
             slot->flows.load(std::memory_order_relaxed)));
       }
       ++gauge;
@@ -975,16 +997,16 @@ void IpdEngine::publish_cycle_metrics(
     std::uint64_t total = 0;
     std::uint64_t max_delta = 0;
     for (const std::uint64_t d : state->last_deltas) {
-      shard_occupancy_->observe(static_cast<double>(d));
+      m.shard_occupancy->observe(static_cast<double>(d));
       total += d;
       max_delta = std::max(max_delta, d);
     }
     const double mean = static_cast<double>(total) /
                         static_cast<double>(std::max<std::size_t>(
                             state->last_deltas.size(), 1));
-    shard_imbalance_[f]->set(mean > 0.0 ? static_cast<double>(max_delta) / mean
-                                        : 1.0);
-    cut_members_[f]->set(static_cast<double>(state->cut.size()));
+    m.shard_imbalance[f]->set(
+        mean > 0.0 ? static_cast<double>(max_delta) / mean : 1.0);
+    m.cut_members[f]->set(static_cast<double>(state->cut.size()));
   }
   m.ranges_classified->set(static_cast<double>(out.ranges_classified));
   m.ranges_monitoring->set(static_cast<double>(out.ranges_monitoring));

@@ -43,27 +43,28 @@
 // above one cut member, spine join/compact events follow all member
 // events.
 //
-// Thread safety: ingest/apply_batch/for_each_leaf/locate take the
-// structure lock shared (per-slot mutexes serialize work inside one cut
-// member); run_cycle and snapshot save/restore take it exclusive.
+// Thread safety: ingest/apply_batch/for_each_leaf/locate/observers take
+// the structure lock shared (per-slot mutexes serialize work inside one
+// cut member); run_cycle, observe and snapshot save/restore take it
+// exclusive.
 // References returned by locate() and trie() are only stable while the
 // caller keeps the engine quiescent (no run_cycle), which the
 // introspection server guarantees via the shared engine mutex.
 //
-// Observability: attach_metrics() hooks the engine into an
-// obs::MetricsRegistry — per-family/per-ingress-link ingest counters,
-// stage-2 timing histograms, trie size/memory gauges, shard occupancy.
-// attach_decision_log() records every structural stage-2 decision;
-// attach_cycle_deltas() streams demotions/classifications;
-// attach_flow_trace() records provenance hops for hash-sampled flows.
-// Timing is one obs::Scope per obs::Layer (obs/scope.hpp): stage1.ingest
-// per apply_batch, stage2.cycle per run_cycle, and the five stage2.<phase>
-// layers fed the cycle's phase totals. attach_metrics(), attach_tracer()
-// and attach_perf() rewire their histogram, span and perf-phase sinks, so
-// the stage2.cycle span, ipd_cycle_seconds and CycleStats::cycle_micros
-// are one measurement. With nothing attached the stage-1 scope is one
-// branch and phase timing is off. Every sink must outlive the engine (or
-// be replaced before it is destroyed).
+// Observability: observe() sets the whole EngineObservers bundle
+// (core/engine_base.hpp) — registry, decision log, tracer, cycle-delta
+// log, perf counters, flow tracer, synth_decode — at once, under the
+// exclusive structure lock, and rewires the timed layers once: one
+// obs::Scope per obs::Layer (obs/scope.hpp), stage1.ingest per
+// apply_batch, stage2.cycle per run_cycle and the five stage2.<phase>
+// layers fed the cycle's phase totals, so the stage2.cycle span,
+// ipd_cycle_seconds and CycleStats::cycle_micros are one measurement.
+// With nothing attached the stage-1 scope is one branch and phase timing
+// is off. No apply_batch or run_cycle sees half a bundle, and nothing is
+// written into a replaced sink once observe() returns. observers() copies
+// the bundle under the shared lock; the runner and the introspection
+// server find their sinks through it. Every sink must outlive the engine
+// or be replaced before it is destroyed.
 #pragma once
 
 #include <array>
@@ -114,10 +115,7 @@ struct EngineConfig {
 /// one cycle.
 class EngineMetrics {
  public:
-  explicit EngineMetrics(obs::MetricsRegistry& registry);
-
-  obs::MetricsRegistry& registry() noexcept { return *registry_; }
-  const obs::MetricsRegistry& registry() const noexcept { return *registry_; }
+  EngineMetrics(obs::MetricsRegistry& registry, std::size_t shard_count);
 
   /// Publish pre-aggregated stage-1 deltas.
   void add_ingest_deltas(net::Family family, std::uint64_t flows,
@@ -140,6 +138,18 @@ class EngineMetrics {
   obs::Gauge* ranges_monitoring = nullptr;
   obs::Gauge* tracked_ips = nullptr;
   obs::Gauge* memory_bytes = nullptr;
+  // Per-shard-slot instruments: one queue-delay histogram per slot (one
+  // "all" series beyond 64 shards), lifetime flow gauges [v4][v6 slots]
+  // (none beyond 64), and occupancy/balance at every cut republish.
+  std::vector<obs::Histogram*> shard_queue_delay;
+  std::vector<obs::Gauge*> shard_flows;
+  obs::Histogram* shard_occupancy = nullptr;
+  std::array<obs::Gauge*, 2> shard_imbalance{};  // by family
+  std::array<obs::Gauge*, 2> cut_members{};      // by family
+
+  obs::Histogram& queue_delay(std::size_t slot) const noexcept {
+    return *shard_queue_delay[shard_queue_delay.size() == 1 ? 0 : slot];
+  }
 
  private:
   obs::MetricsRegistry* registry_;
@@ -211,57 +221,22 @@ class IpdEngine {
     return core::find_prevalent(params_, counts);
   }
 
-  /// Export metrics into `registry` from now on (replaces any previous
-  /// attachment). The registry must outlive the engine.
-  void attach_metrics(obs::MetricsRegistry& registry);
-  obs::MetricsRegistry* metrics_registry() const noexcept {
-    return metrics_ ? &metrics_->registry() : nullptr;
-  }
+  /// Replace every sink at once (null = detached); see the header comment.
+  void observe(const EngineObservers& observers);
+  EngineObservers observers() const;  // a copy, under the shared lock
+
+  /// Handles into the bundle's registry (nullptr without one); the caller
+  /// keeps the engine quiescent and the bundle unchanged.
   EngineMetrics* metrics() noexcept { return metrics_.get(); }
 
   /// Publish buffered stage-1 metric deltas into the registry (called ad
   /// hoc before scraping; run_cycle flushes too).
   void flush_ingest_metrics();
 
-  /// Record every stage-2 structural decision into `log` from now on.
-  void attach_decision_log(DecisionLog& log) noexcept { decision_log_ = &log; }
-  DecisionLog* decision_log() const noexcept { return decision_log_; }
-
-  /// Emit per-cycle/per-phase spans into `tracer` from now on.
-  void attach_tracer(obs::Tracer& tracer);
-  obs::Tracer* tracer() const noexcept { return tracer_; }
-
-  /// Append every stage-2 demotion/classification transition into `log`
-  /// from now on.
-  void attach_cycle_deltas(CycleDeltaLog& log) noexcept {
-    cycle_deltas_ = &log;
-  }
-  CycleDeltaLog* cycle_deltas() const noexcept { return cycle_deltas_; }
-
-  /// Charge stage-1 batches and stage-2 cycles to `perf` phases from now
-  /// on.
-  void attach_perf(obs::PerfCounters& perf);
-  obs::PerfCounters* perf() const noexcept { return perf_; }
-
-  /// Record stage-1 provenance hops (shard routing, trie apply) for
-  /// hash-sampled flows into `tracer` from now on.
-  void attach_flow_trace(obs::FlowTracer& tracer) noexcept {
-    flow_trace_ = &tracer;
-  }
-  obs::FlowTracer* flow_trace() const noexcept { return flow_trace_; }
-
-  /// When set, the engine also records a Decode hop for sampled flows as
-  /// they enter stage 1. Drivers without a real decode stage in front
-  /// (the replay BinnedRunner) enable this so journeys still begin with a
-  /// decode hop at zero extra hot-path cost — the sampling hash is
-  /// computed once either way. The collector leaves it off and records
-  /// Decode itself at datagram-decode time.
-  void set_flow_trace_synth_decode(bool on) noexcept {
-    flow_trace_synth_decode_ = on;
-  }
-  bool flow_trace_synth_decode() const noexcept {
-    return flow_trace_synth_decode_;
-  }
+  /// Only for the pipeline benchmark, which is built against this header
+  /// unchanged: observe() with `registry` as the metrics sink and every
+  /// other sink kept. Nothing else may call it.
+  void attach_metrics(obs::MetricsRegistry& registry);
 
   // Shard-routing surface (property tests, /explain diagnostics).
   int shard_bits() const noexcept { return config_.shard_bits; }
@@ -396,7 +371,7 @@ class IpdEngine {
   }
 
   /// Flow-trace entry hops for one flow routed to `slot`: the synthesized
-  /// Decode hop (when enabled) and ShardRoute. Returns the flow's
+  /// Decode hop (with synth_decode) and ShardRoute. Returns the flow's
   /// provenance id when it is hash-sampled, 0 otherwise. Call only while a
   /// flow tracer is attached.
   std::uint64_t trace_route(util::Timestamp ts, const net::IpAddress& masked,
@@ -424,9 +399,6 @@ class IpdEngine {
   void flush_deltas_locked();
   void publish_cycle_metrics(const CycleStats& out,
                              const std::array<TrieCensus, 2>& census);
-  /// Re-derive every timed layer from the attached metrics, tracer and
-  /// perf counters. Exclusive structure lock required.
-  void rewire_layers();
 
   IpdParams params_;
   EngineConfig config_;
@@ -454,39 +426,13 @@ class IpdEngine {
   std::atomic<std::uint64_t> total_joins_{0};
   std::atomic<std::uint64_t> total_drops_{0};
 
-  /// Stage-1 queue-delay histogram for `slot` (nullptr before
-  /// attach_metrics). Per-slot instruments up to 64 shards, one aggregate
-  /// "all" instrument beyond that to bound the series count.
-  obs::Histogram* queue_delay_hist(std::size_t slot) const noexcept {
-    if (shard_queue_delay_.empty()) return nullptr;
-    return shard_queue_delay_.size() == 1 ? shard_queue_delay_[0]
-                                          : shard_queue_delay_[slot];
-  }
-
-  std::unique_ptr<EngineMetrics> metrics_;
-  // Per-shard instruments (created at attach_metrics, same slot layout as
-  // FamilyState::slots; empty while metrics are detached).
-  std::vector<obs::Histogram*> shard_queue_delay_;
-  std::vector<obs::Gauge*> shard_flows_;  // [v4 slots][v6 slots]
-  // Occupancy/balance instruments (nullptr while metrics are detached).
-  obs::Histogram* shard_occupancy_ = nullptr;
-  std::array<obs::Gauge*, 2> shard_imbalance_{};  // by family
-  std::array<obs::Gauge*, 2> cut_members_{};      // by family
-  DecisionLog* decision_log_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  CycleDeltaLog* cycle_deltas_ = nullptr;
-  obs::PerfCounters* perf_ = nullptr;
-  obs::FlowTracer* flow_trace_ = nullptr;
-  bool flow_trace_synth_decode_ = false;
-  // Timed layers, rewired by every attach_metrics/tracer/perf.
+  std::unique_ptr<EngineMetrics> metrics_;  // handles into observers_.metrics
+  // Written only by observe(), under the exclusive structure lock.
+  EngineObservers observers_;
+  // Timed layers, rewired by every observe().
   obs::Layer stage1_layer_;
   obs::Layer cycle_layer_;
   std::array<obs::Layer, kNumCyclePhases> phase_layers_;
 };
-
-/// Names kept for callers written against the two-engine API: the sharded
-/// engine is this engine with shard_bits > 0.
-using ShardedEngine = IpdEngine;
-using ShardedEngineConfig = EngineConfig;
 
 }  // namespace ipd::core

@@ -1,5 +1,5 @@
 // Value types of the IPD engine: the stage-2 phase enum, per-cycle and
-// lifetime counters, and the range-transition sink.
+// lifetime counters, the range-transition sink, and the observer bundle.
 //
 // They live apart from core/engine.hpp so the stage-2 cycle logic
 // (core/cycle_logic.hpp), which the engine itself includes, can report
@@ -101,6 +101,7 @@ class CycleDeltaLog {
   std::size_t size() const;
   std::uint64_t total_recorded() const;
   std::uint64_t dropped() const;
+  std::size_t memory_bytes() const;  // including undrained transitions
 
  private:
   const std::size_t capacity_;
@@ -120,11 +121,24 @@ struct EngineStats {
   std::uint64_t total_drops = 0;
 };
 
-/// There is one engine, core::IpdEngine (core/engine.hpp). EngineBase is
-/// the name the tools and layers above the engine historically
-/// programmed against; it aliases that class, so headers that only pass
-/// the engine by reference can name it without pulling in engine.hpp.
+/// Everything that watches one engine, set as a unit by
+/// IpdEngine::observe(). Sinks are borrowed, optional (nullptr = off) and
+/// must outlive the engine or be replaced before they are destroyed.
+struct EngineObservers {
+  obs::MetricsRegistry* metrics = nullptr;
+  DecisionLog* decisions = nullptr;       // stage-2 structural decisions
+  obs::Tracer* tracer = nullptr;          // stage2.cycle + phase spans
+  CycleDeltaLog* cycle_deltas = nullptr;  // demotions/classifications
+  obs::PerfCounters* perf = nullptr;
+  obs::FlowTracer* flow_trace = nullptr;  // sampled-flow provenance hops
+  /// Record a Decode hop for sampled flows at stage-1 entry. Set by
+  /// callers that feed the engine through a BinnedRunner (no decode stage
+  /// in front); the collector's readers record Decode themselves.
+  bool synth_decode = false;
+
+  std::uint64_t memory_bytes() const;  // heap of every attached sink
+};
+
 class IpdEngine;
-using EngineBase = IpdEngine;
 
 }  // namespace ipd::core

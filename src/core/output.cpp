@@ -8,7 +8,7 @@
 
 namespace ipd::core {
 
-Snapshot take_snapshot(const EngineBase& engine, util::Timestamp ts,
+Snapshot take_snapshot(const IpdEngine& engine, util::Timestamp ts,
                        bool classified_only) {
   Snapshot snapshot;
   for (const net::Family family : {net::Family::V4, net::Family::V6}) {

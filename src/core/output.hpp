@@ -34,14 +34,13 @@ struct RangeOutput {
 using Snapshot = std::vector<RangeOutput>;
 
 class IpdEngine;
-using EngineBase = IpdEngine;
 
 /// Extract the current ranges of both address families (leaves come back
 /// in address order, so the same partition yields the same snapshot at any
 /// shard count).
 /// If `classified_only`, monitoring ranges are skipped (the deployment's
 /// stage-2 filter).
-Snapshot take_snapshot(const EngineBase& engine, util::Timestamp ts,
+Snapshot take_snapshot(const IpdEngine& engine, util::Timestamp ts,
                        bool classified_only = false);
 
 /// One Table-3-style text line. Uses paper naming ("C2-R30.1") when a

@@ -1,6 +1,12 @@
-// Forwarding header: the sharded engine is core::IpdEngine with
-// EngineConfig::shard_bits > 0 (see core/engine.hpp). ShardedEngine and
-// ShardedEngineConfig are aliases declared there.
+// Aliases kept only for the pipeline benchmark (pipebench/), which is built
+// against this header; everything else names IpdEngine and EngineConfig.
+// The next change to the benchmark deletes this header.
 #pragma once
 
 #include "core/engine.hpp"
+
+namespace ipd::core {
+using EngineBase = IpdEngine;
+using ShardedEngine = IpdEngine;
+using ShardedEngineConfig = EngineConfig;
+}  // namespace ipd::core

@@ -643,12 +643,12 @@ void SnapshotAccess::install(IpdEngine& engine, StagedTrie&& v4,
   engine.rebuild_cut(engine.v6_);
 }
 
-std::string save_snapshot(const EngineBase& engine,
+std::string save_snapshot(const IpdEngine& engine,
                           const SnapshotClock& clock) {
   return SnapshotAccess::save(engine, clock);
 }
 
-void save_snapshot_file(const std::string& path, const EngineBase& engine,
+void save_snapshot_file(const std::string& path, const IpdEngine& engine,
                         const SnapshotClock& clock) {
   util::write_file_atomic(path, save_snapshot(engine, clock));
 }
@@ -713,7 +713,7 @@ std::vector<LpmRow> read_snapshot_lpm(std::string_view data) {
   return rows;
 }
 
-SnapshotClock restore_snapshot(EngineBase& engine, std::string_view data) {
+SnapshotClock restore_snapshot(IpdEngine& engine, std::string_view data) {
   const util::SnapshotParser parser(data);
   const Meta meta = parse_meta_checked(parser);
 
@@ -740,7 +740,7 @@ SnapshotClock restore_snapshot(EngineBase& engine, std::string_view data) {
   return meta.clock;
 }
 
-SnapshotClock restore_snapshot_file(EngineBase& engine,
+SnapshotClock restore_snapshot_file(IpdEngine& engine,
                                     const std::string& path) {
   const std::string data = util::read_file(path);
   return restore_snapshot(engine, data);

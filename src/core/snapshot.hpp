@@ -93,10 +93,10 @@ std::uint64_t params_hash(const IpdParams& params);
 /// Serialize the full engine state. The engine's structure lock is taken
 /// exclusively for the duration, so concurrent ingest and cycles wait and
 /// the encoded tries are one consistent instant.
-std::string save_snapshot(const EngineBase& engine, const SnapshotClock& clock);
+std::string save_snapshot(const IpdEngine& engine, const SnapshotClock& clock);
 
 /// save_snapshot + atomic file publish (tmp + fsync + rename).
-void save_snapshot_file(const std::string& path, const EngineBase& engine,
+void save_snapshot_file(const std::string& path, const IpdEngine& engine,
                         const SnapshotClock& clock);
 
 /// Decode and validate header + meta only (cheap; no trie decode).
@@ -113,8 +113,8 @@ std::vector<LpmRow> read_snapshot_lpm(std::string_view data);
 /// restoring an N-shard snapshot into an M-shard engine rebuilds the cut
 /// over the restored tries. Fully fail-closed: on any SnapshotError the
 /// engine is untouched. Returns the donor's clock for runner resume.
-SnapshotClock restore_snapshot(EngineBase& engine, std::string_view data);
-SnapshotClock restore_snapshot_file(EngineBase& engine,
+SnapshotClock restore_snapshot(IpdEngine& engine, std::string_view data);
+SnapshotClock restore_snapshot_file(IpdEngine& engine,
                                     const std::string& path);
 
 /// Mutex-guarded snapshot lifecycle state + its metric surface

@@ -145,6 +145,18 @@ std::uint64_t FlowTracer::journeys_evicted() const noexcept {
   return journeys_evicted_;
 }
 
+std::size_t FlowTracer::memory_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Journeys with their hops, plus the id index (buckets and nodes).
+  std::size_t bytes = sizeof(FlowTracer) + ring_.size() * sizeof(FlowJourney);
+  for (const FlowJourney& journey : ring_) {
+    bytes += journey.hops.capacity() * sizeof(FlowHop);
+  }
+  bytes += index_.bucket_count() * sizeof(void*) +
+           index_.size() * (sizeof(void*) + sizeof(*index_.begin()));
+  return bytes;
+}
+
 std::string to_json(const FlowJourney& journey,
                     const std::string& decisions_json) {
   std::string out = "{\"id\":\"";

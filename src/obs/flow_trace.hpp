@@ -148,6 +148,8 @@ class FlowTracer {
   std::uint64_t flows_sampled() const noexcept;   // unique journeys ever
   std::uint64_t hops_recorded() const noexcept;
   std::uint64_t journeys_evicted() const noexcept;
+  /// Heap held by the retained journeys and the id index.
+  std::size_t memory_bytes() const;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int r) noexcept {

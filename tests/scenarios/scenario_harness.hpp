@@ -127,9 +127,8 @@ inline void run_kill_restore(workload::FlowGenerator& gen,
   {
     core::IpdEngine engine(params);
     obs::MetricsRegistry registry;
-    engine.attach_metrics(registry);
     core::CycleDeltaLog deltas(std::size_t{1} << 20);
-    engine.attach_cycle_deltas(deltas);
+    engine.observe({.metrics = &registry, .cycle_deltas = &deltas});
     obs::TimeSeriesStore store;
     analysis::HealthEngine health(store);
     health.install_default_rules(params);
@@ -185,9 +184,8 @@ inline void run_kill_restore(workload::FlowGenerator& gen,
         core::restore_snapshot(engine, snapshot_bytes);
     ASSERT_EQ(resumed, clock);
     obs::MetricsRegistry registry;
-    engine.attach_metrics(registry);
     core::CycleDeltaLog deltas(std::size_t{1} << 20);
-    engine.attach_cycle_deltas(deltas);
+    engine.observe({.metrics = &registry, .cycle_deltas = &deltas});
     obs::TimeSeriesStore store;
     analysis::HealthEngine health(store);
     health.install_default_rules(params);

@@ -19,7 +19,6 @@
 
 #include "core/engine.hpp"
 #include "core/output.hpp"
-#include "core/sharded_engine.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 #include "workload/generator.hpp"
@@ -34,7 +33,7 @@ struct RunResult {
   core::EngineStats stats;
 };
 
-using ApplyFn = std::function<void(core::EngineBase&,
+using ApplyFn = std::function<void(core::IpdEngine&,
                                    std::span<const netflow::FlowRecord>)>;
 
 /// Replay `records` through `engine` with explicit cycle bins: all records
@@ -42,11 +41,11 @@ using ApplyFn = std::function<void(core::EngineBase&,
 /// them), then the cycle at the bin's boundary runs and the partition is
 /// dumped. Cycle tie-break matches the runner: a boundary-crossing record
 /// flushes and cycles first.
-RunResult run_binned(core::EngineBase& engine,
+RunResult run_binned(core::IpdEngine& engine,
                      const std::vector<netflow::FlowRecord>& records,
                      const ApplyFn& apply) {
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   RunResult result;
   const util::Duration t = engine.params().t;
   util::Timestamp next_cycle = util::bucket_start(records.front().ts, t) + t;
@@ -125,12 +124,12 @@ void expect_equal(const RunResult& reference, const RunResult& candidate,
   EXPECT_EQ(reference.stats.total_drops, candidate.stats.total_drops);
 }
 
-const ApplyFn kRecordAtATime = [](core::EngineBase& engine,
+const ApplyFn kRecordAtATime = [](core::IpdEngine& engine,
                                   std::span<const netflow::FlowRecord> bin) {
   for (const auto& record : bin) engine.ingest(record);
 };
 
-const ApplyFn kWholeBin = [](core::EngineBase& engine,
+const ApplyFn kWholeBin = [](core::IpdEngine& engine,
                              std::span<const netflow::FlowRecord> bin) {
   netflow::FlowBatch batch;
   netflow::append_records(batch, bin);
@@ -140,7 +139,7 @@ const ApplyFn kWholeBin = [](core::EngineBase& engine,
 /// Slice the bin into batches of pseudo-random size (1..97). The rng is
 /// owned by the caller so every bin cuts differently.
 ApplyFn random_slices(util::Rng& rng) {
-  return [&rng](core::EngineBase& engine,
+  return [&rng](core::IpdEngine& engine,
                 std::span<const netflow::FlowRecord> bin) {
     std::size_t i = 0;
     while (i < bin.size()) {
@@ -156,7 +155,7 @@ ApplyFn random_slices(util::Rng& rng) {
 
 /// Fisher–Yates-permute the whole bin, then apply as one batch.
 ApplyFn permuted_bin(util::Rng& rng) {
-  return [&rng](core::EngineBase& engine,
+  return [&rng](core::IpdEngine& engine,
                 std::span<const netflow::FlowRecord> bin) {
     std::vector<netflow::FlowRecord> shuffled(bin.begin(), bin.end());
     for (std::size_t i = shuffled.size(); i > 1; --i) {
@@ -240,10 +239,10 @@ TEST_F(BatchApply, WithinBinPermutationMatches) {
 TEST_F(BatchApply, ShardedBatchesMatchSequential) {
   for (const int shard_bits : {0, 2}) {
     util::Rng rng(static_cast<std::uint64_t>(21 + shard_bits));
-    core::ShardedEngineConfig config;
+    core::EngineConfig config;
     config.shard_bits = shard_bits;
     config.ingest_threads = 4;
-    core::ShardedEngine engine(*params_, config);
+    core::IpdEngine engine(*params_, config);
     expect_equal(*reference_,
                  run_binned(engine, *records_, random_slices(rng)),
                  "sharded slices shards=" + std::to_string(1 << shard_bits));
@@ -253,13 +252,13 @@ TEST_F(BatchApply, ShardedBatchesMatchSequential) {
 TEST_F(BatchApply, RebalancedCutNeverChangesOutput) {
   // An aggressive rebalance config (low hotness bar, deep expansion) so
   // the cut actually moves mid-run; the output must not.
-  core::ShardedEngineConfig config;
+  core::EngineConfig config;
   config.shard_bits = 2;
   config.ingest_threads = 4;
   config.rebalance_cut = true;
   config.rebalance_factor = 0.5;
   config.rebalance_depth = 3;
-  core::ShardedEngine engine(*params_, config);
+  core::IpdEngine engine(*params_, config);
   expect_equal(*reference_, run_binned(engine, *records_, kWholeBin),
                "rebalanced cut");
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
 #include <string>
 #include <thread>
@@ -606,6 +607,56 @@ TEST(CollectorBatches, PartialAdmissionKeepsThePrefixIntact) {
     }
   }
   EXPECT_TRUE(saw_prefix);
+}
+
+TEST(CollectorBatches, ResubmittedTailIsCountedOnceAsRefusedAndIngestedOnce) {
+  obs::MetricsRegistry registry;
+  CollectorConfig config;
+  config.ring_capacity = 256;
+  config.metrics = &registry;
+  config.stat_time.activity_threshold = 1;
+  CollectorService service(tiny_params(), config, 1);
+  // Not started: the first 256 records fill the budget and the ring
+  // refuses the 144-record tail, which the reader keeps.
+  auto flows = make_flows(1000000, 400, {1, 0}, 0x0A000000u);
+  for (std::size_t i = 256; i < flows.size(); ++i) flows[i].ingress = {2, 0};
+  const std::span<const netflow::FlowRecord> all(flows);
+  ASSERT_EQ(service.submit_records(0, all), 256u);
+  EXPECT_EQ(service.stats().flows_dropped_ring, 144u);
+
+  // Start the IPD thread and wait until it has dequeued the prefix; the
+  // budget frees a moment later, so the reader retries the tail until the
+  // ring takes it. A retry the ring refuses again is a second refusal of
+  // those records, and is counted as one.
+  service.start();
+  const obs::Histogram& residency =
+      registry.histogram("ipd_ring_residency_seconds", "", {});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (residency.count() < 256) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+  std::uint64_t refused_again = 0;
+  for (std::span<const netflow::FlowRecord> tail = all.subspan(256);
+       !tail.empty();) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    const std::size_t accepted = service.submit_records(0, tail);
+    refused_again += tail.size() - accepted;
+    tail = tail.subspan(accepted);
+  }
+  service.stop();
+
+  // Every record ingested exactly once; the refusals counted as refusals.
+  const CollectorStats stats = service.stats();
+  EXPECT_EQ(stats.flows_dropped_ring, 144u + refused_again);
+  EXPECT_EQ(stats.flows_enqueued, 400u);
+  EXPECT_EQ(stats.flows_ingested, 400u);
+  EXPECT_EQ(service.engine().stats().flows_ingested, 400u);
+  EXPECT_EQ(registry
+                .counter("ipd_ring_dropped_total", "", {{"source", "0"}})
+                .value(),
+            144u + refused_again);
 }
 
 TEST(CollectorBatches, MalformedDatagramLeavesNoRowsBehind) {

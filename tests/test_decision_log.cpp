@@ -190,7 +190,7 @@ void feed(IpdEngine& engine, const char* ip, topology::LinkId link, int n,
 TEST(DecisionLogEngine, ClassifyRecordsThresholdAndShare) {
   IpdEngine engine(tiny_params());
   DecisionLog log;
-  engine.attach_decision_log(log);
+  engine.observe({.decisions = &log});
   feed(engine, "10.0.0.1", {1, 1}, 100, 30);
   engine.run_cycle(60);
 
@@ -210,7 +210,7 @@ TEST(DecisionLogEngine, ClassifyRecordsThresholdAndShare) {
 TEST(DecisionLogEngine, SplitRecordsContestedShare) {
   IpdEngine engine(tiny_params());
   DecisionLog log;
-  engine.attach_decision_log(log);
+  engine.observe({.decisions = &log});
   // Two ingresses at 50/50 in disjoint halves: no prevalence, so stage 2
   // splits the root range.
   feed(engine, "10.0.0.1", {1, 1}, 40, 30);
@@ -232,7 +232,7 @@ TEST(DecisionLogEngine, DemoteRecordsAgeAndFloor) {
   IpdParams params = tiny_params();
   IpdEngine engine(params);
   DecisionLog log;
-  engine.attach_decision_log(log);
+  engine.observe({.decisions = &log});
   feed(engine, "10.0.0.1", {1, 1}, 100, 30);
   engine.run_cycle(60);  // classify
   ASSERT_FALSE(log.snapshot().empty());

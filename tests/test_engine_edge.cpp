@@ -1,9 +1,10 @@
 // Adversarial / edge-case behaviour of the engine: noise robustness
 // (§5.1.2's maintenance story), flapping ingresses, join cascades, the
-// hard drop bound, and out-of-order timestamps.
+// hard drop bound, out-of-order timestamps, and observer-bundle swaps.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "obs/flow_trace.hpp"
 #include "util/rng.hpp"
 
 namespace ipd::core {
@@ -211,6 +212,103 @@ TEST(EngineEdge, ManyDistinctSourcesInOneRange) {
   // All state expires once stale.
   engine.run_cycle(400);
   EXPECT_TRUE(engine.trie(Family::V4).root().ips().empty());
+}
+
+/// One complete set of sinks, so a test can tell which bundle a write
+/// landed in.
+struct Sinks {
+  obs::MetricsRegistry registry;
+  DecisionLog decisions;
+  obs::Tracer tracer;
+  CycleDeltaLog deltas;
+  obs::FlowTracer flows{obs::FlowTracerConfig{.sample_period = 1}};
+
+  EngineObservers bundle() {
+    return {.metrics = &registry,
+            .decisions = &decisions,
+            .tracer = &tracer,
+            .cycle_deltas = &deltas,
+            .flow_trace = &flows};
+  }
+  double ingested() {
+    return registry.counter("ipd_ingest_flows_total", "", {{"family", "v4"}})
+        .value();
+  }
+};
+
+TEST(EngineEdge, ObserveReplacesEverySink) {
+  IpdEngine engine(tiny_params());
+  Sinks a;
+  Sinks b;
+  engine.observe(a.bundle());
+  EXPECT_EQ(engine.observers().decisions, &a.decisions);
+  feed(engine, Prefix::root(Family::V4), LinkId{1, 0}, 300, 30);
+  engine.run_cycle(60);
+  feed(engine, Prefix::root(Family::V4), LinkId{1, 0}, 100, 70, /*salt=*/7);
+  ASSERT_GT(a.decisions.total_recorded(), 0u);
+  ASSERT_GT(a.deltas.total_recorded(), 0u);
+  ASSERT_GT(a.tracer.total_recorded(), 0u);
+  ASSERT_GT(a.flows.hops_recorded(), 0u);
+
+  // The swap flushes the 100 flows buffered since the cycle into A.
+  engine.observe(b.bundle());
+  EXPECT_EQ(engine.observers().decisions, &b.decisions);
+  EXPECT_EQ(a.ingested(), 400.0);
+  const std::uint64_t a_decisions = a.decisions.total_recorded();
+  const std::uint64_t a_deltas = a.deltas.total_recorded();
+  const std::uint64_t a_spans = a.tracer.total_recorded();
+  const std::uint64_t a_hops = a.flows.hops_recorded();
+
+  // A flip on B's watch: demotion, re-split, re-classification.
+  for (util::Timestamp ts = 90; ts <= 600; ts += 60) {
+    feed(engine, Prefix::root(Family::V4), LinkId{2, 0}, 300, ts, /*salt=*/9);
+    engine.run_cycle(ts + 30);
+  }
+  EXPECT_EQ(a.decisions.total_recorded(), a_decisions);
+  EXPECT_EQ(a.deltas.total_recorded(), a_deltas);
+  EXPECT_EQ(a.tracer.total_recorded(), a_spans);
+  EXPECT_EQ(a.flows.hops_recorded(), a_hops);
+  EXPECT_EQ(a.ingested(), 400.0);
+  EXPECT_GT(b.decisions.total_recorded(), 0u);
+  EXPECT_GT(b.deltas.total_recorded(), 0u);
+  EXPECT_GT(b.tracer.total_recorded(), 0u);
+  EXPECT_GT(b.flows.hops_recorded(), 0u);
+  EXPECT_EQ(b.ingested(), 9.0 * 300);
+
+  // An empty bundle detaches everything, including the registry.
+  engine.observe({});
+  feed(engine, Prefix::root(Family::V4), LinkId{2, 0}, 50, 700);
+  engine.run_cycle(720);
+  EXPECT_EQ(engine.metrics(), nullptr);
+  EXPECT_EQ(b.ingested(), 9.0 * 300);
+  EXPECT_EQ(engine.stats().flows_ingested, 400u + 9 * 300 + 50);
+}
+
+TEST(EngineEdge, CycleMemoryCountsEverySink) {
+  IpdEngine bare(tiny_params());
+  IpdEngine observed(tiny_params());
+  Sinks sinks;
+  obs::PerfCounters perf;
+  EngineObservers bundle = sinks.bundle();
+  bundle.perf = &perf;
+  observed.observe(bundle);
+  feed(bare, Prefix::root(Family::V4), LinkId{1, 0}, 300, 30);
+  feed(observed, Prefix::root(Family::V4), LinkId{1, 0}, 300, 30);
+  bare.run_cycle(60);
+  observed.run_cycle(60);
+  // The first cycle's metric publish registers the per-link counters after
+  // its memory figure is taken; the second cycle registers nothing new.
+  const CycleStats plain = bare.run_cycle(120);
+  const CycleStats counted = observed.run_cycle(120);
+  ASSERT_GT(sinks.flows.memory_bytes(), sizeof(obs::FlowTracer));
+  ASSERT_GT(sinks.deltas.memory_bytes(), sizeof(CycleDeltaLog));
+  // Same trie, so the difference is exactly the six sinks.
+  EXPECT_EQ(counted.memory_bytes - plain.memory_bytes,
+            observed.observers().memory_bytes());
+  EXPECT_EQ(observed.observers().memory_bytes(),
+            sinks.registry.memory_bytes() + sinks.decisions.memory_bytes() +
+                sinks.tracer.memory_bytes() + sinks.deltas.memory_bytes() +
+                perf.memory_bytes() + sinks.flows.memory_bytes());
 }
 
 }  // namespace

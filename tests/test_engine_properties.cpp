@@ -6,7 +6,6 @@
 #include <set>
 
 #include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace ipd::core {
@@ -202,9 +201,9 @@ IpAddress random_addr(util::Rng& rng, Family family) {
 TEST(ShardRouting, EveryAddressMapsToExactlyOneShard) {
   for (const int bits : {0, 1, 4, 8}) {
     SCOPED_TRACE("shard_bits=" + std::to_string(bits));
-    ShardedEngineConfig config;
+    EngineConfig config;
     config.shard_bits = bits;
-    ShardedEngine engine(IpdParams{}, config);
+    IpdEngine engine(IpdParams{}, config);
     ASSERT_EQ(engine.shard_count(), std::size_t{1} << bits);
 
     util::Rng rng(42);
@@ -248,9 +247,9 @@ TEST(ShardRouting, StableUnderMaskingToCidrMax) {
   IpdParams params;
   for (const int bits : {1, 4, 8}) {
     SCOPED_TRACE("shard_bits=" + std::to_string(bits));
-    ShardedEngineConfig config;
+    EngineConfig config;
     config.shard_bits = bits;
-    ShardedEngine engine(params, config);
+    IpdEngine engine(params, config);
     util::Rng rng(43);
     for (const Family family : {Family::V4, Family::V6}) {
       const int cidr_max = params.cidr_max(family);
@@ -278,10 +277,10 @@ TEST(ShardRouting, ShardsNeverHoldOverlappingPrefixes) {
   params.ncidr_factor4 = 0.002;
   params.ncidr_factor6 = 1e-6;
   params.q = 0.8;
-  ShardedEngineConfig config;
+  EngineConfig config;
   config.shard_bits = 3;
   config.ingest_threads = 2;
-  ShardedEngine engine(params, config);
+  IpdEngine engine(params, config);
 
   util::Rng rng(99);
   util::Timestamp now = 0;

@@ -222,6 +222,42 @@ TEST(FlowTraceIntegration, CollectorJourneyWalksEveryStage) {
       << "no journey recorded the full decode->apply hop sequence";
 }
 
+// --- Replay path: the bundle's synth_decode flag supplies the Decode hop. -
+
+/// Replay 5 minutes of one-link traffic through a BinnedRunner built
+/// *before* the bundle is applied; returns the sampled journeys.
+std::vector<obs::FlowJourney> runner_journeys(bool synth_decode) {
+  core::IpdEngine engine(core::IpdParams{});
+  analysis::BinnedRunner runner(engine, nullptr);
+  FlowTracer tracer(FlowTracerConfig{.sample_period = 4, .max_flows = 4096});
+  engine.observe({.flow_trace = &tracer, .synth_decode = synth_decode});
+  for (int i = 0; i < 1200; ++i) {
+    netflow::FlowRecord r;
+    r.ts = 1000000 + i / 4;
+    r.src_ip = ip4(0x0A000000u + (static_cast<std::uint32_t>(i) << 8));
+    r.ingress = {3, 1};
+    runner.offer(r);
+  }
+  runner.finish();
+  return tracer.journeys();
+}
+
+TEST(FlowTraceIntegration, RunnerJourneysBeginWithDecodeWhenTheBundleSaysSo) {
+  const auto journeys = runner_journeys(/*synth_decode=*/true);
+  ASSERT_GT(journeys.size(), 100u);  // ~1/4 of 1200 records
+  for (const auto& journey : journeys) {
+    ASSERT_EQ(journey.hops.size(), 3u);
+    EXPECT_EQ(journey.hops[0].kind, FlowHopKind::Decode);
+    EXPECT_EQ(journey.hops[1].kind, FlowHopKind::ShardRoute);
+    EXPECT_EQ(journey.hops[2].kind, FlowHopKind::TrieApply);
+  }
+  // The flag is the bundle's, not the runner's: left off, no Decode hop.
+  for (const auto& journey : runner_journeys(/*synth_decode=*/false)) {
+    ASSERT_FALSE(journey.hops.empty());
+    EXPECT_EQ(journey.hops[0].kind, FlowHopKind::ShardRoute);
+  }
+}
+
 // --- Stage-2 correlation: classification decisions join the journey. ----
 
 TEST(FlowTraceIntegration, DecisionsCorrelateToJourneysByIpAndTime) {
@@ -230,10 +266,9 @@ TEST(FlowTraceIntegration, DecisionsCorrelateToJourneysByIpAndTime) {
   params.ncidr_factor6 = 1e-7;
   core::IpdEngine engine(params);
   core::DecisionLog log;
-  engine.attach_decision_log(log);
   obs::FlowTracer tracer(
       FlowTracerConfig{.sample_period = 1, .max_flows = 1 << 16});
-  engine.attach_flow_trace(tracer);
+  engine.observe({.decisions = &log, .flow_trace = &tracer});
 
   analysis::BinnedRunner runner(engine, nullptr);
   // Concentrated traffic from one /8 through one link classifies quickly.

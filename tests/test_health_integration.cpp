@@ -20,8 +20,7 @@ namespace {
 class Fig13Maintenance : public ::testing::Test {
  protected:
   Fig13Maintenance() : engine_(make_params()), health_(store_) {
-    engine_.attach_metrics(registry_);
-    engine_.attach_cycle_deltas(deltas_);
+    engine_.observe({.metrics = &registry_, .cycle_deltas = &deltas_});
     health_.install_default_rules(make_params());
     health_.attach_cycle_deltas(deltas_);
     health_.bind_metrics(registry_);

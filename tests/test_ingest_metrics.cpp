@@ -57,7 +57,7 @@ std::vector<Series> run(core::IpdEngine& engine,
                         const std::vector<netflow::FlowRecord>& records,
                         const ApplyFn& apply) {
   obs::MetricsRegistry registry;
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   std::vector<Series> readings;
   const util::Duration t = engine.params().t;
   util::Timestamp next_cycle = util::bucket_start(records.front().ts, t) + t;

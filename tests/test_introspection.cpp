@@ -9,17 +9,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
 
 #include "analysis/health.hpp"
 #include "core/decision_log.hpp"
 #include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "json_check.hpp"
 #include "obs/cpu_profiler.hpp"
+#include "obs/flow_trace.hpp"
 #include "obs/lock_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -105,9 +109,10 @@ class IntrospectionTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    engine_.attach_metrics(registry_);
-    engine_.attach_decision_log(decision_log_);
-    engine_.attach_tracer(tracer_);
+    observers_.metrics = &registry_;
+    observers_.decisions = &decision_log_;
+    observers_.tracer = &tracer_;
+    engine_.observe(observers_);
     // Two ingresses in disjoint halves: the root splits, then each side
     // classifies — so the partition has several ranges and the decision
     // log has split + classify history.
@@ -134,6 +139,8 @@ class IntrospectionTest : public ::testing::Test {
   obs::MetricsRegistry registry_;
   core::DecisionLog decision_log_;
   obs::Tracer tracer_;
+  // Derived fixtures add sinks here before SetUp() hands the bundle over.
+  core::EngineObservers observers_;
   core::IpdEngine engine_;
   obs::InstrumentedMutex mutex_{"test.engine"};
   IntrospectionServer server_;
@@ -241,7 +248,7 @@ class HealthEndpointsTest : public IntrospectionTest {
   HealthEndpointsTest() : health_(timeseries_) {}
 
   void SetUp() override {
-    engine_.attach_cycle_deltas(cycle_deltas_);
+    observers_.cycle_deltas = &cycle_deltas_;
     health_.install_default_rules(make_params());
     health_.attach_cycle_deltas(cycle_deltas_);
     health_.bind_metrics(registry_);
@@ -337,9 +344,9 @@ TEST_F(IntrospectionTest, PerfEndpointServesCounterSnapshot) {
   obs::PerfCounters perf;
   {
     std::lock_guard<obs::InstrumentedMutex> lock(mutex_);
-    engine_.attach_perf(perf);  // registers the engine's phase names
+    observers_.perf = &perf;  // registers the engine's phase names
+    engine_.observe(observers_);
   }
-  server_.attach_perf(perf);
   const std::string response = http_get(server_.port(), "/perf");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   const std::string body = body_of(response);
@@ -467,10 +474,10 @@ TEST_F(IntrospectionTest, OneShardEngineServesShards) {
 TEST(IntrospectionSharded, ShardsReportsOccupancyAndCut) {
   core::IpdParams params;
   params.ncidr_factor4 = 0.001;
-  core::ShardedEngineConfig config;
+  core::EngineConfig config;
   config.shard_bits = 2;
   config.rebalance_cut = true;
-  core::ShardedEngine engine(params, config);
+  core::IpdEngine engine(params, config);
   obs::InstrumentedMutex mutex{"test.engine"};
   // Spread flows across the top bits so every shard slot sees traffic.
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -528,6 +535,94 @@ TEST(IntrospectionBare, MissingAttachmentsAre503) {
   EXPECT_NE(http_get(server.port(), "/ranges").find("HTTP/1.1 200"),
             std::string::npos);
   server.stop();
+}
+
+// The observer lifetime contract under load: one thread swaps whole
+// bundles while another ingests and cycles a sharded engine and a third
+// serves /flows, /decisions and /perf. Every bundle outlives the engine;
+// ThreadSanitizer checks that no sink pointer is read while written.
+struct RaceSinks {
+  obs::MetricsRegistry registry;
+  core::DecisionLog decisions;
+  obs::Tracer tracer;
+  core::CycleDeltaLog deltas;
+  obs::PerfCounters perf;
+  obs::FlowTracer flows{obs::FlowTracerConfig{.sample_period = 4}};
+
+  core::EngineObservers bundle() {
+    return {.metrics = &registry,
+            .decisions = &decisions,
+            .tracer = &tracer,
+            .cycle_deltas = &deltas,
+            .perf = &perf,
+            .flow_trace = &flows};
+  }
+};
+
+TEST(IntrospectionObservers, BundleSwapsRaceIngestCyclesAndRequests) {
+  RaceSinks a;
+  RaceSinks b;
+  const std::array<core::EngineObservers, 3> bundles{a.bundle(), b.bundle(),
+                                                     core::EngineObservers{}};
+  core::IpdParams params;
+  params.ncidr_factor4 = 0.001;
+  core::EngineConfig config;
+  config.shard_bits = 2;
+  config.ingest_threads = 2;
+  core::IpdEngine engine(params, config);
+  obs::InstrumentedMutex mutex{"test.engine"};
+  IntrospectionServer server(engine, mutex);
+  std::string error;
+  ASSERT_TRUE(server.start(0, &error)) << error;
+
+  constexpr int kRounds = 40;
+  std::atomic<bool> done{false};
+  std::thread ingest([&] {
+    netflow::FlowBatch batch;
+    for (int round = 0; round < kRounds; ++round) {
+      const util::Timestamp ts = 60 * (round + 1);
+      batch.clear();
+      const auto shift = static_cast<std::uint32_t>(round / 8);
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        // Every /8 each round; the ingress rotates every 8 rounds, so
+        // ranges classify, demote and split while bundles change.
+        netflow::FlowRecord r;
+        r.ts = ts - 30;
+        r.src_ip = net::IpAddress::v4((i << 24) | (shift << 8));
+        r.ingress = {1 + (i + shift) % 3, 1};
+        batch.push_back(r);
+      }
+      const std::lock_guard<obs::InstrumentedMutex> lock(mutex);
+      engine.apply_batch(batch);
+      engine.run_cycle(ts);
+    }
+    done = true;
+  });
+  std::size_t swaps = 0;
+  std::thread swapper([&] {
+    for (; !done; ++swaps) {
+      engine.observe(bundles[swaps % bundles.size()]);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::size_t served = 0;
+  while (!done) {
+    for (const char* path : {"/flows?limit=8", "/decisions?limit=8", "/perf"}) {
+      const std::string response = http_get(server.port(), path);
+      // 503 while the empty bundle is in place.
+      EXPECT_TRUE(response.find("HTTP/1.1 200") == 0 ||
+                  response.find("HTTP/1.1 503") == 0)
+          << path << ": " << response.substr(0, 64);
+      ++served;
+    }
+  }
+  ingest.join();
+  swapper.join();
+  server.stop();
+  EXPECT_GT(served, 0u);
+  EXPECT_GE(swaps, bundles.size());
+  EXPECT_EQ(engine.stats().flows_ingested, 256u * kRounds);
+  EXPECT_EQ(engine.stats().cycles_run, static_cast<std::uint64_t>(kRounds));
 }
 
 }  // namespace

@@ -273,7 +273,7 @@ TEST(Prometheus, EngineExpositionParsesWithPhaseHistograms) {
   params.ncidr_factor4 = 0.001;
   params.ncidr_factor6 = 1e-7;
   core::IpdEngine engine(params);
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
 
   const topology::LinkId link{1, 0};
   for (int minute = 0; minute < 5; ++minute) {
@@ -342,7 +342,7 @@ TEST(JsonLines, EngineRegistryIsValidJson) {
   params.ncidr_factor4 = 0.001;
   params.ncidr_factor6 = 1e-7;
   core::IpdEngine engine(params);
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   for (std::uint32_t i = 0; i < 100; ++i) {
     engine.ingest(10, net::IpAddress::v4(i << 20), topology::LinkId{2, 1});
   }

@@ -34,7 +34,7 @@ netflow::FlowRecord rec(util::Timestamp ts, const IpAddress& src, LinkId link) {
 TEST(ObsIntegration, OnMetricsFiresOncePerBin) {
   obs::MetricsRegistry registry;
   core::IpdEngine engine(tiny_params());
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   BinnedRunner runner(engine, nullptr);
 
   std::vector<util::Timestamp> snapshot_times;
@@ -107,7 +107,7 @@ TEST(ObsIntegration, CycleStatsMemoryIncludesRegistryAndBinBuffer) {
   core::IpdEngine plain(tiny_params());
   core::IpdEngine metered(tiny_params());
   obs::MetricsRegistry registry;
-  metered.attach_metrics(registry);
+  metered.observe({.metrics = &registry});
 
   BinnedRunner plain_runner(plain, nullptr);
   BinnedRunner metered_runner(metered, nullptr);
@@ -143,7 +143,7 @@ TEST(ObsIntegration, TrieMemoryGaugeEqualsTrieMemoryAfterACycle) {
   // walk of its own; it must still read the trie's exact footprint.
   obs::MetricsRegistry registry;
   core::IpdEngine engine(tiny_params());
-  engine.attach_metrics(registry);
+  engine.observe({.metrics = &registry});
   for (int minute = 0; minute < 4; ++minute) {
     for (std::uint32_t i = 0; i < 400; ++i) {
       engine.ingest(rec(minute * 60 + (i % 60), IpAddress::v4(i << 20),

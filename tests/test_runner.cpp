@@ -122,7 +122,7 @@ TEST(Runner, SnapshotSpanExcludesTheCallbacks) {
   // of it.
   core::IpdEngine engine(tiny_params());
   obs::Tracer tracer;
-  engine.attach_tracer(tracer);
+  engine.observe({.tracer = &tracer});
   BinnedRunner runner(engine, nullptr);
   constexpr auto kCallback = std::chrono::milliseconds(30);
   runner.on_snapshot = [&](util::Timestamp, const core::Snapshot&,

@@ -2,7 +2,7 @@
 // *byte-identical* to the sequential engine on the same workload.
 //
 // The same ScenarioSpec flow stream is replayed through the sequential
-// IpdEngine and through ShardedEngine at several shard counts and thread
+// IpdEngine and through the same engine at several shard counts and thread
 // counts. For every 5-minute snapshot the Table-3 text dump must match
 // byte for byte, every stage-2 cycle must report identical
 // classify/split/join/drop/compact totals and partition census, the
@@ -20,7 +20,6 @@
 #include "analysis/runner.hpp"
 #include "core/engine.hpp"
 #include "core/output.hpp"
-#include "core/sharded_engine.hpp"
 #include "obs/flow_trace.hpp"
 #include "workload/generator.hpp"
 
@@ -37,11 +36,11 @@ struct RunResult {
 
 /// Replay `records` through `engine` with the standard runner cadence and
 /// capture everything the equivalence claim covers.
-RunResult run_workload(core::EngineBase& engine,
+RunResult run_workload(core::IpdEngine& engine,
                        const std::vector<netflow::FlowRecord>& records,
                        std::size_t ingest_batch) {
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::RunnerConfig config;
   config.ingest_batch = ingest_batch;
   analysis::BinnedRunner runner(engine, nullptr, config);
@@ -172,10 +171,10 @@ RunResult* ShardDifferential::reference_ = nullptr;
 TEST_F(ShardDifferential, ShardedMatchesSequential) {
   for (const int shard_bits : {0, 2, 4}) {
     for (const int threads : {1, 8}) {
-      core::ShardedEngineConfig config;
+      core::EngineConfig config;
       config.shard_bits = shard_bits;
       config.ingest_threads = threads;
-      core::ShardedEngine engine(*params_, config);
+      core::IpdEngine engine(*params_, config);
       const RunResult result = run_workload(engine, *records_, 4096);
       expect_equal(*reference_, result,
                    "shards=" + std::to_string(1 << shard_bits) +
@@ -186,10 +185,10 @@ TEST_F(ShardDifferential, ShardedMatchesSequential) {
 
 /// The per-record ingest path (no batching) must agree too.
 TEST_F(ShardDifferential, UnbatchedIngestMatchesSequential) {
-  core::ShardedEngineConfig config;
+  core::EngineConfig config;
   config.shard_bits = 4;
   config.ingest_threads = 4;
-  core::ShardedEngine engine(*params_, config);
+  core::IpdEngine engine(*params_, config);
   const RunResult result = run_workload(engine, *records_, 1);
   expect_equal(*reference_, result, "shards=16 threads=4 batch=1");
 }
@@ -207,13 +206,13 @@ TEST_F(ShardDifferential, SequentialInvariantUnderBatchSize) {
 /// (independent cut subtrees), or the whole differential only ever tested
 /// the single-unit fallback path.
 TEST_F(ShardDifferential, FamilyActuallyParallelizes) {
-  core::ShardedEngineConfig config;
+  core::EngineConfig config;
   config.shard_bits = 2;
   config.ingest_threads = 2;
-  core::ShardedEngine engine(*params_, config);
+  core::IpdEngine engine(*params_, config);
   std::size_t max_units = 0;
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::BinnedRunner runner(engine, nullptr);
   for (const auto& record : *records_) {
     runner.offer(record);
@@ -233,11 +232,11 @@ TEST_F(ShardDifferential, FamilyActuallyParallelizes) {
 /// ids. `max_flows` is sized far above the expected sample count so the
 /// FIFO ring never evicts and the set is complete.
 std::set<std::uint64_t> sampled_ids(
-    core::EngineBase& engine, const std::vector<netflow::FlowRecord>& records) {
+    core::IpdEngine& engine, const std::vector<netflow::FlowRecord>& records) {
   obs::FlowTracer tracer(obs::FlowTracerConfig{
       .sample_period = 16, .max_flows = std::size_t{1} << 20,
       .max_hops_per_flow = 8});
-  engine.attach_flow_trace(tracer);
+  engine.observe({.flow_trace = &tracer});
   analysis::BinnedRunner runner(engine, nullptr);
   for (const auto& record : records) runner.offer(record);
   runner.finish();
@@ -261,10 +260,10 @@ TEST_F(ShardDifferential, SamplingDeterminism) {
 
   for (const int shard_bits : {0, 2, 4}) {
     for (const int threads : {1, 8}) {
-      core::ShardedEngineConfig config;
+      core::EngineConfig config;
       config.shard_bits = shard_bits;
       config.ingest_threads = threads;
-      core::ShardedEngine engine(*params_, config);
+      core::IpdEngine engine(*params_, config);
       const std::set<std::uint64_t> ids = sampled_ids(engine, *records_);
       EXPECT_EQ(ids, reference_ids)
           << "sampled set diverged at shards=" << (1 << shard_bits)

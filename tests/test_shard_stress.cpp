@@ -6,8 +6,8 @@
 // exact overlap the introspection server produces in deployment. The
 // assertions here are deliberately coarse (no flow lost, partition stays
 // coherent); the point of the test is to give ASan/UBSan and above all
-// ThreadSanitizer (-DIPD_SANITIZE=thread) a workload where every lock in
-// ShardedEngine is contended from multiple sides at once.
+// ThreadSanitizer (-DIPD_SANITIZE=thread) a workload where every lock of
+// a sharded IpdEngine is contended from multiple sides at once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/decision_log.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/engine.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -58,7 +58,7 @@ struct StressConfig {
   std::size_t batch = 256;
 };
 
-void run_stress(ShardedEngine& engine, const StressConfig& config) {
+void run_stress(IpdEngine& engine, const StressConfig& config) {
   std::atomic<bool> writers_done{false};
   std::atomic<util::Timestamp> sim_now{0};
 
@@ -158,13 +158,13 @@ TEST(ShardStress, ConcurrentIngestSnapshotsAndCycles) {
   obs::MetricsRegistry registry;
   DecisionLog decisions(1 << 16);
   CycleDeltaLog deltas(1 << 16);
-  ShardedEngineConfig config;
+  EngineConfig config;
   config.shard_bits = 4;
   config.ingest_threads = 4;
-  ShardedEngine engine(stress_params(), config);
-  engine.attach_metrics(registry);
-  engine.attach_decision_log(decisions);
-  engine.attach_cycle_deltas(deltas);
+  IpdEngine engine(stress_params(), config);
+  engine.observe({.metrics = &registry,
+                  .decisions = &decisions,
+                  .cycle_deltas = &deltas});
   run_stress(engine, StressConfig{});
   // The observability sinks were fed from the stage-2 path throughout.
   EXPECT_GT(registry.family_count(), 0u);
@@ -174,10 +174,10 @@ TEST(ShardStress, ConcurrentIngestSnapshotsAndCycles) {
 /// Single-shard, single-thread config: the degenerate pool must behave
 /// identically under the same concurrent callers (everything inline).
 TEST(ShardStress, DegeneratePoolStillThreadSafe) {
-  ShardedEngineConfig config;
+  EngineConfig config;
   config.shard_bits = 0;
   config.ingest_threads = 1;
-  ShardedEngine engine(stress_params(), config);
+  IpdEngine engine(stress_params(), config);
   StressConfig stress;
   stress.writers = 2;
   stress.records_per_writer = 15000;

@@ -25,7 +25,6 @@
 #include "analysis/runner.hpp"
 #include "core/engine.hpp"
 #include "core/output.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/snapshot.hpp"
 #include "workload/generator.hpp"
 
@@ -78,11 +77,11 @@ std::uint64_t engine_trie_bytes(core::IpdEngine& engine) {
 /// runs with the engine quiescent at the boundary and the pending batch
 /// empty, so records [0, cursor) are fully ingested and `cursor` is the
 /// exact replay resume index.
-RunResult run_workload(core::EngineBase& engine,
+RunResult run_workload(core::IpdEngine& engine,
                        const std::vector<netflow::FlowRecord>& records,
                        std::size_t capture_at = 0, Capture* capture = nullptr) {
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::BinnedRunner runner(engine, nullptr);
   RunResult result;
   std::size_t cursor = 0;
@@ -97,25 +96,31 @@ RunResult run_workload(core::EngineBase& engine,
       if (auto* seq = dynamic_cast<core::IpdEngine*>(&engine)) {
         capture->trie_bytes = engine_trie_bytes(*seq);
       }
+      // A donor that dies here hands everything logged so far to its
+      // consumer, so from the cut on its delta log (counted in
+      // memory_bytes) holds what a restored engine's log holds.
+      result.transitions = deltas.drain();
     }
   };
   for (; cursor < records.size(); ++cursor) runner.offer(records[cursor]);
   runner.finish();
   result.cycles = runner.cycles();
-  result.transitions = deltas.drain();
+  for (core::RangeTransition& t : deltas.drain()) {
+    result.transitions.push_back(std::move(t));
+  }
   result.stats = engine.stats();
   EXPECT_EQ(deltas.dropped(), 0u);
   return result;
 }
 
 /// Restore `capture` into `engine` and replay the remaining records.
-RunResult run_restored(core::EngineBase& engine, const Capture& capture,
+RunResult run_restored(core::IpdEngine& engine, const Capture& capture,
                        const std::vector<netflow::FlowRecord>& records) {
   const core::SnapshotClock clock =
       core::restore_snapshot(engine, capture.bytes);
   EXPECT_EQ(clock, capture.clock);
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::BinnedRunner runner(engine, nullptr);
   runner.resume(clock);
   RunResult result;
@@ -288,10 +293,10 @@ TEST_F(SnapshotDifferential, SequentialRestoreContinuesByteIdentically) {
 TEST_F(SnapshotDifferential, ShardedRestoreMatrixContinuesByteIdentically) {
   for (const int shard_bits : {0, 2, 4}) {
     for (const int threads : {1, 8}) {
-      core::ShardedEngineConfig config;
+      core::EngineConfig config;
       config.shard_bits = shard_bits;
       config.ingest_threads = threads;
-      core::ShardedEngine engine(*params_, config);
+      core::IpdEngine engine(*params_, config);
       const RunResult result = run_restored(engine, *capture_, *records_);
       expect_equal_tail(*reference_, *capture_, result,
                         "sequential->shards=" + std::to_string(1 << shard_bits) +
@@ -305,10 +310,10 @@ TEST_F(SnapshotDifferential, ShardedRestoreMatrixContinuesByteIdentically) {
 /// shard differential already proves the runs are byte-identical, so its
 /// snapshot must be too), and the sequential continuation must match.
 TEST_F(SnapshotDifferential, ShardedDonorRestoresIntoSequential) {
-  core::ShardedEngineConfig config;
+  core::EngineConfig config;
   config.shard_bits = 4;
   config.ingest_threads = 8;
-  core::ShardedEngine donor(*params_, config);
+  core::IpdEngine donor(*params_, config);
   Capture capture;
   const RunResult donor_result =
       run_workload(donor, *records_, kCaptureBin, &capture);

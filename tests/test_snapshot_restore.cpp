@@ -19,7 +19,6 @@
 #include "analysis/runner.hpp"
 #include "core/engine.hpp"
 #include "core/output.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/snapshot.hpp"
 #include "util/index_arena.hpp"
 #include "workload/generator.hpp"
@@ -144,11 +143,11 @@ std::string format_dump(const core::Snapshot& snap) {
 
 constexpr std::size_t kCaptureBin = 4;
 
-RunResult run_workload(core::EngineBase& engine,
+RunResult run_workload(core::IpdEngine& engine,
                        const std::vector<netflow::FlowRecord>& records,
                        Capture* capture) {
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::BinnedRunner runner(engine, nullptr);
   RunResult result;
   std::size_t cursor = 0;
@@ -170,13 +169,13 @@ RunResult run_workload(core::EngineBase& engine,
   return result;
 }
 
-RunResult run_restored(core::EngineBase& engine, const Capture& capture,
+RunResult run_restored(core::IpdEngine& engine, const Capture& capture,
                        const std::vector<netflow::FlowRecord>& records) {
   const core::SnapshotClock clock =
       core::restore_snapshot(engine, capture.bytes);
   EXPECT_EQ(clock, capture.clock);
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::BinnedRunner runner(engine, nullptr);
   runner.resume(clock);
   RunResult result;
@@ -266,10 +265,10 @@ RunResult* CrossShardRestore::reference_ = nullptr;
 /// continues identically to the uninterrupted sequential reference.
 TEST_F(CrossShardRestore, AllPairsContinueByteIdentically) {
   for (const int donor_bits : {0, 2, 4}) {
-    core::ShardedEngineConfig donor_config;
+    core::EngineConfig donor_config;
     donor_config.shard_bits = donor_bits;
     donor_config.ingest_threads = donor_bits == 0 ? 1 : 4;
-    core::ShardedEngine donor(*params_, donor_config);
+    core::IpdEngine donor(*params_, donor_config);
     Capture capture;
     run_workload(donor, *records_, &capture);
     ASSERT_FALSE(capture.bytes.empty())
@@ -279,10 +278,10 @@ TEST_F(CrossShardRestore, AllPairsContinueByteIdentically) {
     EXPECT_EQ(info.shard_bits, donor_bits);
 
     for (const int target_bits : {0, 2, 4}) {
-      core::ShardedEngineConfig config;
+      core::EngineConfig config;
       config.shard_bits = target_bits;
       config.ingest_threads = target_bits == 0 ? 1 : 4;
-      core::ShardedEngine engine(*params_, config);
+      core::IpdEngine engine(*params_, config);
       const RunResult result = run_restored(engine, capture, *records_);
       expect_equal_tail(*reference_, capture, result,
                         "K=" + std::to_string(1 << donor_bits) +
@@ -336,17 +335,17 @@ TEST_F(CrossShardRestore, IdleResumeFinishIsANoOp) {
 /// is total and stable, the locate() path resolves every ingested source
 /// to a covering leaf, and the rebuilt cut admits parallel work.
 TEST_F(CrossShardRestore, RoutingInvariantsAfterRestore) {
-  core::ShardedEngineConfig donor_config;
+  core::EngineConfig donor_config;
   donor_config.shard_bits = 2;
-  core::ShardedEngine donor(*params_, donor_config);
+  core::IpdEngine donor(*params_, donor_config);
   Capture capture;
   run_workload(donor, *records_, &capture);
   ASSERT_FALSE(capture.bytes.empty());
 
-  core::ShardedEngineConfig config;
+  core::EngineConfig config;
   config.shard_bits = 4;
   config.ingest_threads = 4;
-  core::ShardedEngine engine(*params_, config);
+  core::IpdEngine engine(*params_, config);
   core::restore_snapshot(engine, capture.bytes);
 
   EXPECT_EQ(engine.shard_count(), 16u);

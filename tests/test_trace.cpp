@@ -146,7 +146,7 @@ TEST(Tracer, EngineCycleEmitsPhaseSpans) {
   params.ncidr_factor4 = 0.001;
   core::IpdEngine engine(params);
   Tracer tracer;
-  engine.attach_tracer(tracer);
+  engine.observe({.tracer = &tracer});
   const net::IpAddress ip = net::IpAddress::from_string("10.0.0.1");
   for (int i = 0; i < 50; ++i) engine.ingest(30, ip, {1, 1}, 1);
   engine.run_cycle(60);
@@ -173,8 +173,7 @@ TEST(Tracer, CycleMeasurementReachesEverySink) {
   core::IpdEngine engine(params);
   MetricsRegistry registry;
   Tracer tracer;
-  engine.attach_metrics(registry);
-  engine.attach_tracer(tracer);
+  engine.observe({.metrics = &registry, .tracer = &tracer});
   for (std::uint32_t i = 0; i < 400; ++i) {
     const net::IpAddress ip = net::IpAddress::v4((10u << 24) | (i << 12));
     engine.ingest(30, ip, {1, static_cast<std::uint16_t>(i % 3)}, 1);

@@ -24,7 +24,6 @@
 #include "analysis/runner.hpp"
 #include "core/engine.hpp"
 #include "core/output.hpp"
-#include "core/sharded_engine.hpp"
 #include "workload/generator.hpp"
 
 namespace ipd {
@@ -37,11 +36,11 @@ struct RunResult {
   core::EngineStats stats;
 };
 
-RunResult run_workload(core::EngineBase& engine,
+RunResult run_workload(core::IpdEngine& engine,
                        const std::vector<netflow::FlowRecord>& records,
                        std::size_t ingest_batch) {
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
-  engine.attach_cycle_deltas(deltas);
+  engine.observe({.cycle_deltas = &deltas});
   analysis::RunnerConfig config;
   config.ingest_batch = ingest_batch;
   analysis::BinnedRunner runner(engine, nullptr, config);
@@ -208,10 +207,10 @@ TEST_F(TrieLayoutDifferential, ShardedMatchesSeedFixture) {
       << " — regenerate with IPD_REGEN_FIXTURES=1";
   for (const int shard_bits : {0, 2, 4}) {
     for (const int threads : {1, 8}) {
-      core::ShardedEngineConfig config;
+      core::EngineConfig config;
       config.shard_bits = shard_bits;
       config.ingest_threads = threads;
-      core::ShardedEngine engine(*params_, config);
+      core::IpdEngine engine(*params_, config);
       const RunResult result = run_workload(engine, *records_, 4096);
       expect_same_blob(fixture, serialize(result),
                        "shards=" + std::to_string(1 << shard_bits) +

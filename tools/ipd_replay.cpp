@@ -288,8 +288,11 @@ int main(int argc, char** argv) {
                   {"ingest_threads", engine_config.ingest_threads},
                   {"rebalance_cut", rebalance_cut}});
 
+  // One bundle, handed to the engine below. Replay is the decode stage,
+  // so the engine synthesizes the flow tracer's Decode hops.
+  core::EngineObservers observers{.synth_decode = true};
   obs::MetricsRegistry registry;
-  engine.attach_metrics(registry);
+  observers.metrics = &registry;
   obs::bind_log_drop_metrics(registry);
   obs::register_build_info(registry);
   util::log_info("build", {{"info", obs::build_info_line()}});
@@ -299,7 +302,7 @@ int main(int argc, char** argv) {
     obs::PerfCountersConfig perf_config;
     perf_config.per_phase = perf_per_phase;
     perf = std::make_unique<obs::PerfCounters>(perf_config);
-    engine.attach_perf(*perf);
+    observers.perf = perf.get();
     util::log_info("perf counters attached",
                    {{"available", perf->available()},
                     {"per_phase", perf_per_phase},
@@ -307,11 +310,11 @@ int main(int argc, char** argv) {
   }
 
   core::DecisionLog decision_log(decision_log_capacity);
-  if (decision_log_enabled) engine.attach_decision_log(decision_log);
+  if (decision_log_enabled) observers.decisions = &decision_log;
 
   obs::Tracer tracer;
   if (!trace_out.empty()) {
-    engine.attach_tracer(tracer);
+    observers.tracer = &tracer;
     tracer.install_crash_handler(trace_out + ".crash");
   }
 
@@ -321,7 +324,7 @@ int main(int argc, char** argv) {
       .sample_period = obs::FlowTracer::sample_period_from_env()});
   const bool flow_trace_enabled = http_enabled || !flow_trace_out.empty();
   if (flow_trace_enabled) {
-    engine.attach_flow_trace(flow_trace);
+    observers.flow_trace = &flow_trace;
     flow_trace.bind_metrics(&registry);
     util::log_info(
         "flow tracing enabled",
@@ -333,7 +336,8 @@ int main(int argc, char** argv) {
   // health rules over it, fed by the engine's cycle deltas.
   obs::TimeSeriesStore timeseries;
   core::CycleDeltaLog cycle_deltas;
-  engine.attach_cycle_deltas(cycle_deltas);
+  observers.cycle_deltas = &cycle_deltas;
+  engine.observe(observers);
   analysis::HealthEngine health(timeseries);
   health.install_default_rules(params);
   health.attach_cycle_deltas(cycle_deltas);
@@ -394,8 +398,6 @@ int main(int argc, char** argv) {
   introspection.attach_health(health);
   introspection.attach_timeseries(timeseries);
   introspection.attach_snapshots(snapshots);
-  if (perf) introspection.attach_perf(*perf);
-  if (flow_trace_enabled) introspection.attach_flow_trace(flow_trace);
   if (watchdog_enabled) {
     introspection.attach_watchdog(watchdog);
     // Budget must exceed the longest legitimate handler: /profile blocks
@@ -664,7 +666,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", flow_trace_out.c_str());
       return 1;
     }
-    const core::DecisionLog* dlog = engine.decision_log();
+    const core::DecisionLog* dlog = observers.decisions;
     const auto journeys = flow_trace.journeys();
     for (const auto& journey : journeys) {
       out << analysis::flow_journey_json(journey, dlog) << '\n';
