@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include "collector/collector.hpp"
@@ -50,7 +51,10 @@ core::IpdParams micro_params() {
   return workload::scaled_params(scenario);
 }
 
-/// A warmed engine over the shared trace (for cycle/snapshot benches).
+/// A warmed engine over the shared trace (for the cycle and trie benches).
+/// It ingests the whole trace before its first cycle, so its partition
+/// stops at a handful of unclassified ranges; the trie-layout report's
+/// gates are sized to that partition.
 core::IpdEngine& warmed_engine() {
   static core::IpdEngine engine(micro_params());
   static const bool warmed = [] {
@@ -62,6 +66,45 @@ core::IpdEngine& warmed_engine() {
   }();
   (void)warmed;
   return engine;
+}
+
+/// An engine fed the way the deployment loop feeds it: a BinnedRunner runs
+/// each data minute's cycle after that minute's flows, so the partition
+/// splits a level per minute and classifies. Its data minutes end where
+/// shared_trace()'s window ends, over the same scenario, so the trace's
+/// sources are lookup keys that mostly hit. For the snapshot and LPM
+/// benches.
+struct ClassifiedRun {
+  std::unique_ptr<core::IpdEngine> engine;
+  util::Timestamp end = 0;
+  core::Snapshot snapshot;  // take_snapshot(*engine, end)
+};
+
+const ClassifiedRun& classified_run() {
+  constexpr util::Timestamp kMinutes = 40;
+  static const ClassifiedRun run = [] {
+    ClassifiedRun out;
+    out.engine = std::make_unique<core::IpdEngine>(micro_params());
+    out.end = bench::kDay1 + 20 * util::kSecondsPerHour + 10 * 60;
+    analysis::BinnedRunner runner(*out.engine, nullptr,
+                                  {.keep_cycle_stats = false});
+    workload::ScenarioConfig scenario = workload::small_test();
+    scenario.flows_per_minute = 50000;
+    workload::FlowGenerator gen(scenario);
+    gen.run(out.end - kMinutes * 60, out.end,
+            [&runner](const netflow::FlowRecord& r) { runner.offer(r); });
+    runner.finish();
+    out.snapshot = core::take_snapshot(*out.engine, out.end);
+    return out;
+  }();
+  return run;
+}
+
+/// Lookups of every shared_trace() source in `table` that hit.
+std::size_t trace_hits(const core::LpmTable& table) {
+  std::size_t hits = 0;
+  for (const auto& r : shared_trace()) hits += table.lookup(r.src_ip).has_value();
+  return hits;
 }
 
 void BM_Stage1Ingest(benchmark::State& state) {
@@ -169,36 +212,48 @@ void BM_Stage2Cycle(benchmark::State& state) {
 BENCHMARK(BM_Stage2Cycle)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotBuild(benchmark::State& state) {
-  auto& engine = warmed_engine();
+  const ClassifiedRun& run = classified_run();
   for (auto _ : state) {
-    const auto snapshot = core::take_snapshot(engine, bench::kDay1);
+    const auto snapshot = core::take_snapshot(*run.engine, run.end);
     benchmark::DoNotOptimize(snapshot.size());
   }
-  state.SetLabel("snapshot of the live partition");
+  state.counters["rows"] = static_cast<double>(run.snapshot.size());
+  state.SetLabel("snapshot of a classified partition");
 }
 BENCHMARK(BM_SnapshotBuild)->Unit(benchmark::kMillisecond);
 
 void BM_LpmTableBuild(benchmark::State& state) {
-  auto& engine = warmed_engine();
-  const auto snapshot = core::take_snapshot(engine, bench::kDay1);
+  const ClassifiedRun& run = classified_run();
+  const std::size_t rows = core::LpmTable::from_snapshot(run.snapshot).size();
+  if (rows == 0) {
+    state.SkipWithError("LPM table has no rows: nothing classified");
+    return;
+  }
   for (auto _ : state) {
-    const auto table = core::LpmTable::from_snapshot(snapshot);
+    const auto table = core::LpmTable::from_snapshot(run.snapshot);
     benchmark::DoNotOptimize(table.size());
   }
+  state.counters["rows"] = static_cast<double>(rows);
 }
 BENCHMARK(BM_LpmTableBuild)->Unit(benchmark::kMillisecond);
 
 void BM_LpmLookup(benchmark::State& state) {
-  auto& engine = warmed_engine();
-  const auto snapshot = core::take_snapshot(engine, bench::kDay1);
-  const auto table = core::LpmTable::from_snapshot(snapshot);
+  const auto table = core::LpmTable::from_snapshot(classified_run().snapshot);
   const auto& trace = shared_trace();
+  const std::size_t hits = trace_hits(table);
+  if (table.size() == 0 || hits == 0) {
+    state.SkipWithError("no lookup hits: the LPM table has no rows or none match");
+    return;
+  }
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.lookup(trace[i].src_ip));
     if (++i == trace.size()) i = 0;
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["rows"] = static_cast<double>(table.size());
+  state.counters["hit_ratio"] =
+      static_cast<double>(hits) / static_cast<double>(trace.size());
 }
 BENCHMARK(BM_LpmLookup);
 
@@ -442,12 +497,15 @@ void write_trie_layout_report() {
 /// (cycles_per_op, ipc, llc_misses_per_op) appear only when the backing
 /// hardware events actually opened, so a perf-less CI container emits a
 /// well-formed report without fabricated zeros; bench_check runs with
-/// --allow-missing to skip the gates on those keys there.
+/// --allow-missing to skip the gates on those keys there. `extra` holds
+/// further ",\"key\":value" pairs that come from elsewhere.
 std::string perf_section_json(const obs::PerfCounters& perf, const char* name,
                               std::uint64_t ops,
-                              const obs::PerfPhaseTotals& delta, bool ok) {
-  std::string out = util::format("\"%s\":{\"ops\":%llu", name,
-                                 static_cast<unsigned long long>(ops));
+                              const obs::PerfPhaseTotals& delta, bool ok,
+                              const std::string& extra = "") {
+  std::string out = util::format("\"%s\":{\"ops\":%llu%s", name,
+                                 static_cast<unsigned long long>(ops),
+                                 extra.c_str());
   if (ok && ops != 0) {
     const double n = static_cast<double>(ops);
     if (perf.event_available(obs::PerfEvent::TaskClock)) {
@@ -502,14 +560,17 @@ void write_perf_counter_report() {
     }
   }
 
-  // Section 2: LPM lookups over the warmed partition, per lookup.
+  // Section 2: LPM lookups in a classified partition's table, per lookup.
+  // The untimed pass counts the hits; a table nothing hits would time the
+  // empty-table early return.
   constexpr int kLookupPasses = 4;
+  std::size_t lookup_rows = 0;
+  std::size_t lookup_hits = 0;
   {
-    auto& engine = warmed_engine();
-    const auto snapshot = core::take_snapshot(engine, bench::kDay1);
-    const auto table = core::LpmTable::from_snapshot(snapshot);
+    const auto table = core::LpmTable::from_snapshot(classified_run().snapshot);
+    lookup_rows = table.size();
+    lookup_hits = trace_hits(table);
     std::uint64_t sink = 0;
-    for (const auto& r : trace) sink += table.lookup(r.src_ip).has_value();
     {
       const obs::Scope scope(lookup_layer);
       for (int p = 0; p < kLookupPasses; ++p) {
@@ -545,12 +606,15 @@ void write_perf_counter_report() {
       "  stage1 ingest: %.1f ns/flow task-clock, %.1f cycles/flow\n",
       per_op(ingest_delta, obs::PerfEvent::TaskClock, ingest_ops),
       per_op(ingest_delta, obs::PerfEvent::Cycles, ingest_ops));
+  const double hit_ratio =
+      static_cast<double>(lookup_hits) / static_cast<double>(trace.size());
   std::printf(
       "  lpm lookup:    %.1f ns/lookup task-clock, %.1f cycles/lookup, "
-      "%.3f LLC misses/lookup\n",
+      "%.3f LLC misses/lookup (%zu rows, %.3f hit ratio)\n",
       per_op(lookup_delta, obs::PerfEvent::TaskClock, lookup_ops),
       per_op(lookup_delta, obs::PerfEvent::Cycles, lookup_ops),
-      per_op(lookup_delta, obs::PerfEvent::LlcMisses, lookup_ops));
+      per_op(lookup_delta, obs::PerfEvent::LlcMisses, lookup_ops),
+      lookup_rows, hit_ratio);
 
   bench::write_json_report(
       "micro_engine",
@@ -570,7 +634,9 @@ void write_perf_counter_report() {
                             ingest_ok)
               .c_str(),
           perf_section_json(perf, "lpm_lookup", lookup_ops, lookup_delta,
-                            lookup_ok)
+                            lookup_ok,
+                            util::format(",\"rows\":%zu,\"hit_ratio\":%.6g",
+                                         lookup_rows, hit_ratio))
               .c_str()));
 }
 

@@ -425,9 +425,12 @@ void CollectorService::publish(util::Timestamp ts) {
   auto table = std::make_shared<const core::LpmTable>(
       core::LpmTable::from_snapshot(snapshot));
   {
+    // Swap, not assign: the old table and snapshot come back out and are
+    // freed at the end of this function, outside the lock that every
+    // current_table() call takes.
     const std::lock_guard<obs::InstrumentedMutex> lock(publish_mutex_);
-    table_ = std::move(table);
-    snapshot_ = std::move(snapshot);
+    table_.swap(table);
+    snapshot_.swap(snapshot);
   }
   snapshots_.fetch_add(1, std::memory_order_relaxed);
   if (snapshots_metric_) snapshots_metric_->inc();

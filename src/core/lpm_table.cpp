@@ -1,6 +1,6 @@
 #include "core/lpm_table.hpp"
 
-#include <iterator>
+#include <algorithm>
 
 namespace ipd::core {
 
@@ -20,22 +20,41 @@ constexpr std::uint64_t low_bits(int bits) noexcept {
   return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
 }
 
-/// Flatten spans into intervals covering the whole key space [0, max].
+/// An IPv6 address as one 128-bit key (ordered hi word first).
+struct Key6 {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  friend constexpr auto operator<=>(const Key6&, const Key6&) = default;
+};
+
+/// Directory buckets per family: one per value of the top 16 key bits.
+constexpr std::uint32_t kBuckets = std::uint32_t{1} << 16;
+
+/// Flatten spans into intervals covering the whole key space [0, max]:
+/// `push_start` appends each interval's start to the family's start
+/// arrays and `rows` gets the row it maps to.
 ///
 /// `spans` is sorted by (first, length), and any two spans are nested or
 /// disjoint, as CIDR prefixes are. The sweep keeps the spans enclosing the
 /// current position on a stack, innermost on top, so each address maps to
 /// the innermost (longest) prefix holding it, or to `none`. Ends are kept
 /// inclusive and `next` is applied only below `max`, so nothing wraps.
-template <typename Key, typename Next, typename Interval>
+template <typename Key, typename Next, typename PushStart>
 void flatten(const std::vector<Span<Key>>& spans, Key max, Next next,
-             std::uint32_t none, std::vector<Interval>& out) {
+             std::uint32_t none, PushStart push_start,
+             std::vector<std::uint32_t>& rows) {
   if (spans.empty()) return;
   // Starts arrive in non-decreasing order; a repeated start overrides the
   // interval just emitted, so no interval is empty.
-  const auto emit = [&out](Key start, std::uint32_t row) {
-    if (!out.empty() && out.back().start == start) out.pop_back();
-    out.push_back({start, row});
+  Key last_start{};
+  const auto emit = [&](Key start, std::uint32_t row) {
+    if (!rows.empty() && last_start == start) {
+      rows.back() = row;
+      return;
+    }
+    push_start(start);
+    rows.push_back(row);
+    last_start = start;
   };
   std::vector<const Span<Key>*> open;
   const auto enclosing_row = [&open, none] {
@@ -59,6 +78,22 @@ void flatten(const std::vector<Span<Key>>& spans, Key max, Next next,
     open.pop_back();
     emit(next(last), enclosing_row());
   }
+}
+
+/// The directory over `n` intervals: entry h is the last interval that
+/// starts at or before the first key of bucket h
+/// (`starts_at_or_before(i, h)`), and entry kBuckets the last interval.
+template <typename StartsAtOrBefore>
+std::vector<std::uint32_t> directory(std::size_t n,
+                                     StartsAtOrBefore starts_at_or_before) {
+  std::vector<std::uint32_t> dir(std::size_t{kBuckets} + 1);
+  std::size_t i = 0;
+  for (std::uint32_t h = 0; h < kBuckets; ++h) {
+    while (i + 1 < n && starts_at_or_before(i + 1, h)) ++i;
+    dir[h] = static_cast<std::uint32_t>(i);
+  }
+  dir[kBuckets] = static_cast<std::uint32_t>(n - 1);
+  return dir;
 }
 
 }  // namespace
@@ -98,34 +133,34 @@ LpmTable LpmTable::from_snapshot(const Snapshot& snapshot) {
 
   flatten(
       spans4, ~std::uint32_t{0}, [](std::uint32_t k) { return k + 1; },
-      kUnmapped, table.v4_);
+      kUnmapped, [&](std::uint32_t k) { table.start4_.push_back(k); },
+      table.row4_);
   flatten(
       spans6, Key6{~std::uint64_t{0}, ~std::uint64_t{0}},
       [](const Key6& k) {
         return Key6{k.lo == ~std::uint64_t{0} ? k.hi + 1 : k.hi, k.lo + 1};
       },
-      kUnmapped, table.v6_);
+      kUnmapped,
+      [&](const Key6& k) {
+        table.hi6_.push_back(k.hi);
+        table.lo6_.push_back(k.lo);
+      },
+      table.row6_);
 
-  if (!table.v4_.empty()) {
-    table.dir4_.resize((std::size_t{1} << 16) + 1);
-    const std::size_t n = table.v4_.size();
-    std::size_t i = 0;
-    for (std::uint32_t h = 0; h < (1u << 16); ++h) {
-      while (i + 1 < n && table.v4_[i + 1].start <= (h << 16)) ++i;
-      table.dir4_[h] = static_cast<std::uint32_t>(i);
-    }
-    table.dir4_.back() = static_cast<std::uint32_t>(n - 1);
+  if (!table.row4_.empty()) {
+    table.dir4_ = directory(table.row4_.size(), [&](std::size_t i,
+                                                    std::uint32_t h) {
+      return table.start4_[i] <= (h << 16);
+    });
+  }
+  if (!table.row6_.empty()) {
+    table.dir6_ = directory(table.row6_.size(), [&](std::size_t i,
+                                                    std::uint32_t h) {
+      const std::uint64_t hi = std::uint64_t{h} << 48;
+      return table.hi6_[i] < hi || (table.hi6_[i] == hi && table.lo6_[i] == 0);
+    });
   }
   return table;
-}
-
-std::uint32_t LpmTable::find_v6(const net::IpAddress& ip) const noexcept {
-  if (v6_.empty()) return kUnmapped;
-  const Key6 key{ip.hi(), ip.lo()};
-  const auto it = std::upper_bound(
-      v6_.begin() + 1, v6_.end(), key,
-      [](const Key6& k, const Interval<Key6>& iv) { return k < iv.start; });
-  return std::prev(it)->row;
 }
 
 std::optional<std::pair<net::Prefix, IngressId>> LpmTable::lookup_entry(

@@ -7,13 +7,14 @@
 // A table is immutable once built. Each family's classified prefixes are
 // flattened into a sorted array of disjoint address intervals that covers
 // the whole address space; every interval names the row of its longest
-// matching prefix, or no row. IPv4 lookups go through a directory on the
-// top 16 address bits, so a lookup is one directory load plus a search of
-// the few intervals inside that /16. IPv6 lookups binary-search the
-// interval starts. See DESIGN.md, "LPM table".
+// matching prefix, or no row. The interval starts are kept apart from the
+// rows they map to (IPv6 starts as hi and lo words). Both families go
+// through a directory on the top 16 address bits, so a lookup is two
+// directory loads plus a branch-free halving search of the intervals
+// inside that bucket (an IPv4 /16 or an IPv6 /16). See DESIGN.md, "LPM
+// table".
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -74,54 +75,71 @@ class LpmTable {
     IngressId ingress;
   };
 
-  /// An IPv6 address as one 128-bit key (ordered hi word first).
-  struct Key6 {
-    std::uint64_t hi = 0;
-    std::uint64_t lo = 0;
-    friend constexpr auto operator<=>(const Key6&, const Key6&) = default;
-  };
-
-  /// Addresses from `start` up to the next interval's start map to `row`.
-  template <typename Key>
-  struct Interval {
-    Key start;
-    std::uint32_t row;
-  };
-
   static constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+
+  __extension__ using U128 = unsigned __int128;
 
   /// Row of the longest prefix holding `ip`, or kUnmapped.
   std::uint32_t find(const net::IpAddress& ip) const noexcept {
-    return ip.is_v4() ? find_v4(ip.v4_value()) : find_v6(ip);
+    return ip.is_v4() ? find_v4(ip.v4_value()) : find_v6(ip.hi(), ip.lo());
   }
 
+  // The interval holding a key lies between those holding the first key
+  // of its directory bucket and of the next bucket.
   std::uint32_t find_v4(std::uint32_t addr) const noexcept {
     if (dir4_.empty()) return kUnmapped;
-    // The interval holding `addr` lies between those holding the first
-    // address of its /16 and of the next /16.
-    std::uint32_t i = dir4_[addr >> 16];
-    const std::uint32_t last = dir4_[(addr >> 16) + 1];
-    if (i != last) {
-      const auto* it = std::upper_bound(
-          v4_.data() + i + 1, v4_.data() + last + 1, addr,
-          [](std::uint32_t a, const Interval<std::uint32_t>& iv) {
-            return a < iv.start;
-          });
-      i = static_cast<std::uint32_t>(it - v4_.data()) - 1;
-    }
-    return v4_[i].row;
+    const std::uint32_t h = addr >> 16;
+    const std::uint32_t* start = start4_.data();
+    return row4_[search(dir4_[h], dir4_[h + 1],
+                        [start, addr](std::uint32_t i) {
+                          return start[i] <= addr;
+                        })];
   }
 
-  std::uint32_t find_v6(const net::IpAddress& ip) const noexcept;
+  std::uint32_t find_v6(std::uint64_t hi, std::uint64_t lo) const noexcept {
+    if (dir6_.empty()) return kUnmapped;
+    const auto h = static_cast<std::uint32_t>(hi >> 48);
+    const std::uint64_t* start_hi = hi6_.data();
+    const std::uint64_t* start_lo = lo6_.data();
+    // One 128-bit compare (a compare and a subtract-with-borrow) where two
+    // word compares would branch.
+    const U128 key = (U128{hi} << 64) | lo;
+    return row6_[search(dir6_[h], dir6_[h + 1], [=](std::uint32_t i) {
+      return ((U128{start_hi[i]} << 64) | start_lo[i]) <= key;
+    })];
+  }
+
+  /// Last index in [first, last] whose interval starts at or before the
+  /// key (`starts_at_or_before(i)`), given that interval `first` does.
+  /// Each step halves the candidates with a select, not a branch, so the
+  /// step count depends only on the span's length.
+  template <typename StartsAtOrBefore>
+  static std::uint32_t search(std::uint32_t first, std::uint32_t last,
+                              StartsAtOrBefore starts_at_or_before) noexcept {
+    std::uint32_t n = last - first + 1;
+    while (n > 1) {
+      const std::uint32_t half = n / 2;
+      first = starts_at_or_before(first + half) ? first + half : first;
+      n -= half;
+    }
+    return first;
+  }
 
   std::vector<Row> rows_;
-  // Per family: intervals sorted by start, the first starting at address
-  // 0; empty when the family has no rows.
-  std::vector<Interval<std::uint32_t>> v4_;
-  std::vector<Interval<Key6>> v6_;
-  // dir4_[h]: index of the interval holding address h << 16, for h in
-  // [0, 65536); dir4_[65536] is the last interval. Empty iff v4_ is.
+  // Per family, the intervals sorted by start, the first starting at
+  // address 0, as parallel arrays: the starts (IPv6: hi and lo words) and
+  // the row each interval maps to. All empty when the family has no rows.
+  std::vector<std::uint32_t> start4_;
+  std::vector<std::uint32_t> row4_;
+  std::vector<std::uint64_t> hi6_;
+  std::vector<std::uint64_t> lo6_;
+  std::vector<std::uint32_t> row6_;
+  // Directory on the top 16 address bits: dir[h] is the index of the
+  // interval holding the first address of bucket h (IPv4: h << 16; IPv6:
+  // hi word h << 48, lo word 0), for h in [0, 65536); dir[65536] is the
+  // last interval. Empty iff the family's intervals are.
   std::vector<std::uint32_t> dir4_;
+  std::vector<std::uint32_t> dir6_;
 };
 
 }  // namespace ipd::core

@@ -415,5 +415,238 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.rows);
     });
 
+// --- Directory buckets and the bounded search --------------------------------
+//
+// Both families index their intervals with a directory on the top 16 address
+// bits and search the intervals of one bucket. These cases aim at the bucket
+// edges, at dense buckets, at the IPv6 words and at one-family tables.
+
+/// Last address of `p`.
+IpAddress last_address(const Prefix& p) {
+  IpAddress last = p.address();
+  for (int i = p.length(); i < p.width(); ++i) last = last.with_bit(i, true);
+  return last;
+}
+
+/// First address of the directory bucket holding `ip`.
+IpAddress bucket_first(const IpAddress& ip) {
+  return ip.is_v4() ? IpAddress::v4(ip.v4_value() & 0xffff0000u)
+                    : IpAddress::v6(ip.hi() & (std::uint64_t{0xffff} << 48), 0);
+}
+
+/// Last address of the directory bucket holding `ip`.
+IpAddress bucket_last(const IpAddress& ip) {
+  return ip.is_v4() ? IpAddress::v4(ip.v4_value() | 0xffffu)
+                    : IpAddress::v6(ip.hi() | ((std::uint64_t{1} << 48) - 1),
+                                    ~std::uint64_t{0});
+}
+
+RangeOutput classified_row(const Prefix& prefix, std::size_t i) {
+  RangeOutput row;
+  row.classified = true;
+  row.range = prefix;
+  row.ingress = IngressId(LinkId{static_cast<topology::RouterId>(i), 0});
+  return row;
+}
+
+/// Build the table from `snapshot` and check every probe against the
+/// LpmTrie oracle over the same classified rows. Besides `probes`, it
+/// probes each prefix's first and last address and the addresses just
+/// outside them, and both sides of both edges of the directory bucket each
+/// of those lies in (every bucket with more than one interval holds an
+/// interval start, so this covers the edges of all of them). Returns the
+/// number of probes that hit.
+std::size_t expect_matches_oracle(const Snapshot& snapshot,
+                                  std::vector<IpAddress> probes) {
+  net::LpmTrie<IngressId> oracle4(Family::V4);
+  net::LpmTrie<IngressId> oracle6(Family::V6);
+  for (const RangeOutput& row : snapshot) {
+    if (!row.classified) continue;
+    (row.range.family() == Family::V4 ? oracle4 : oracle6)
+        .insert(row.range, row.ingress);
+    const IpAddress first = row.range.address();
+    const IpAddress last = last_address(row.range);
+    for (const IpAddress& edge : {first, last, before(first), last.offset(1)}) {
+      probes.push_back(edge);
+      const IpAddress lo = bucket_first(edge);
+      const IpAddress hi = bucket_last(edge);
+      for (const IpAddress& ip : {lo, before(lo), hi, hi.offset(1)}) {
+        probes.push_back(ip);
+      }
+    }
+  }
+  const auto table = LpmTable::from_snapshot(snapshot);
+  EXPECT_EQ(table.size(), oracle4.size() + oracle6.size());
+  std::size_t hits = 0;
+  for (const IpAddress& ip : probes) {
+    const auto want = (ip.is_v4() ? oracle4 : oracle6).lookup_entry(ip);
+    const auto got = table.lookup_entry(ip);
+    if (got.has_value() != want.has_value() ||
+        (want && (got->first != want->first || got->second != *want->second))) {
+      ADD_FAILURE() << ip.to_string() << ": table says "
+                    << (got ? got->first.to_string() : "unmapped")
+                    << ", oracle says "
+                    << (want ? want->first.to_string() : "unmapped");
+      return hits;
+    }
+    hits += want.has_value();
+  }
+  return hits;
+}
+
+/// `n` random addresses of `family`, half of them inside one of `prefixes`.
+std::vector<IpAddress> random_probes(util::Rng& rng, Family family,
+                                     const std::vector<Prefix>& prefixes,
+                                     std::size_t n) {
+  std::vector<IpAddress> out;
+  for (std::size_t q = 0; q < n; ++q) {
+    IpAddress ip = random_address(rng, family);
+    if ((q & 1) != 0 && !prefixes.empty()) {
+      const Prefix& p = prefixes[rng.below(prefixes.size())];
+      if (p.family() == family) {
+        for (int i = 0; i < p.length(); ++i) ip = ip.with_bit(i, p.address().bit(i));
+      }
+    }
+    out.push_back(ip);
+  }
+  return out;
+}
+
+class LpmTableIndex : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every prefix length of both families, /0 through the full width, each as
+// a fresh prefix and nested at every depth under earlier ones.
+TEST_P(LpmTableIndex, EveryPrefixLengthMatchesTrieOracle) {
+  util::Rng rng(GetParam());
+  Snapshot snapshot;
+  std::vector<Prefix> prefixes;
+  for (const Family family : {Family::V4, Family::V6}) {
+    const int width = net::family_width(family);
+    for (int round = 0; round < 4; ++round) {
+      for (int len = 0; len <= width; ++len) {
+        prefixes.emplace_back(random_address(rng, family), len);
+      }
+    }
+    // Nested: a random longer prefix inside an earlier one of the family.
+    const std::size_t fresh = prefixes.size();
+    for (std::size_t i = 0; i < fresh; ++i) {
+      const Prefix& base = prefixes[rng.below(fresh)];
+      if (base.family() != family || base.length() == width) continue;
+      const int len = base.length() + 1 +
+                      static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(width - base.length())));
+      const IpAddress r = random_address(rng, family);
+      IpAddress a = base.address();
+      for (int b = base.length(); b < len; ++b) a = a.with_bit(b, r.bit(b));
+      prefixes.emplace_back(a, len);
+    }
+  }
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    snapshot.push_back(classified_row(prefixes[i], i));
+  }
+  std::vector<IpAddress> probes = random_probes(rng, Family::V4, prefixes, 20000);
+  const auto probes6 = random_probes(rng, Family::V6, prefixes, 20000);
+  probes.insert(probes.end(), probes6.begin(), probes6.end());
+  EXPECT_GT(expect_matches_oracle(snapshot, probes), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LpmTableIndex, ::testing::Values(11, 12, 13, 14),
+                         [](const ::testing::TestParamInfo<std::uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// One IPv4 /16 and one IPv6 /16 (one directory bucket each) that hold over
+// 600 intervals: 300 spaced prefixes, each opening an interval and closing
+// one, under a covering prefix, with nested ones inside some of them. The
+// whole IPv4 /16 is probed.
+TEST(LpmTableIndexBuckets, DenseBucketsMatchTrieOracle) {
+  util::Rng rng(21);
+  Snapshot snapshot;
+  std::vector<Prefix> prefixes;
+  prefixes.push_back(Prefix::from_string("10.1.0.0/16"));
+  prefixes.push_back(Prefix::from_string("2a00::/16"));
+  for (std::uint32_t k = 0; k < 300; ++k) {
+    const std::uint32_t v4 = (10u << 24) | (1u << 16) | (k * 128);
+    prefixes.emplace_back(IpAddress::v4(v4), 27);
+    if (k % 3 == 0) prefixes.emplace_back(IpAddress::v4(v4 + 8), 30);
+    const std::uint64_t hi = (std::uint64_t{0x2a00} << 48) | (std::uint64_t{k} << 32);
+    prefixes.emplace_back(IpAddress::v6(hi, 0), 48);
+    if (k % 3 == 0) prefixes.emplace_back(IpAddress::v6(hi | 0x100, rng()), 100);
+  }
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    snapshot.push_back(classified_row(prefixes[i], i));
+  }
+  std::vector<IpAddress> probes;
+  for (std::uint32_t low = 0; low < (1u << 16); ++low) {
+    probes.push_back(IpAddress::v4((10u << 24) | (1u << 16) | low));
+  }
+  const auto probes6 = random_probes(rng, Family::V6, prefixes, 40000);
+  probes.insert(probes.end(), probes6.begin(), probes6.end());
+  EXPECT_GT(expect_matches_oracle(snapshot, probes), 65536u);
+}
+
+// Intervals in the first and the last directory bucket of each family,
+// including the last address of the space.
+TEST(LpmTableIndexBuckets, FirstAndLastBucketsMatchTrieOracle) {
+  Snapshot snapshot;
+  std::size_t i = 0;
+  for (const char* p :
+       {"0.0.0.0/32", "0.0.0.64/26", "0.0.128.0/17", "255.255.0.0/17",
+        "255.255.255.0/24", "255.255.255.255/32", "255.255.255.128/26", "::/128",
+        "::1:0:0:0/64", "0:8000::/17", "ffff::/17", "ffff:ffff:ffff:ffff::/64",
+        "ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe/127",
+        "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"}) {
+    snapshot.push_back(classified_row(Prefix::from_string(p), i++));
+  }
+  EXPECT_GT(expect_matches_oracle(snapshot, {}), 0u);
+}
+
+// IPv6 intervals that share a hi word and differ only in the lo word, so
+// the search must compare the low 64 bits.
+TEST(LpmTableIndexBuckets, V6StartsBelowTheHiWordMatchTrieOracle) {
+  util::Rng rng(31);
+  Snapshot snapshot;
+  std::vector<Prefix> prefixes;
+  const std::uint64_t hi = 0x2a00000100020003;
+  prefixes.emplace_back(IpAddress::v6(hi, 0), 64);
+  for (int k = 0; k < 200; ++k) {
+    const int len = 65 + static_cast<int>(rng.below(64));
+    prefixes.emplace_back(IpAddress::v6(hi, rng()), len);
+  }
+  // And across a hi-word carry: the last addresses of one hi word and the
+  // first of the next.
+  prefixes.emplace_back(IpAddress::v6(hi + 1, ~std::uint64_t{0} << 4), 124);
+  prefixes.emplace_back(IpAddress::v6(hi + 2, 0), 126);
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    snapshot.push_back(classified_row(prefixes[i], i));
+  }
+  std::vector<IpAddress> probes = random_probes(rng, Family::V6, prefixes, 40000);
+  for (int k = 0; k < 10000; ++k) probes.push_back(IpAddress::v6(hi, rng()));
+  EXPECT_GT(expect_matches_oracle(snapshot, probes), 10000u);
+}
+
+// A table with one family only: the other family's lookups all miss.
+TEST(LpmTableIndexBuckets, OneFamilyTablesMatchTrieOracle) {
+  for (const Family family : {Family::V4, Family::V6}) {
+    SCOPED_TRACE(family == Family::V4 ? "v4 only" : "v6 only");
+    util::Rng rng(family == Family::V4 ? 41 : 42);
+    Snapshot snapshot;
+    std::vector<Prefix> prefixes;
+    for (std::size_t i = 0; i < 500; ++i) {
+      prefixes.push_back(random_prefix(rng, family, prefixes));
+      snapshot.push_back(classified_row(prefixes.back(), i));
+    }
+    std::vector<IpAddress> probes = random_probes(rng, Family::V4, prefixes, 20000);
+    const auto probes6 = random_probes(rng, Family::V6, prefixes, 20000);
+    probes.insert(probes.end(), probes6.begin(), probes6.end());
+    EXPECT_GT(expect_matches_oracle(snapshot, probes), 0u);
+    const auto table = LpmTable::from_snapshot(snapshot);
+    const Family other = family == Family::V4 ? Family::V6 : Family::V4;
+    for (int k = 0; k < 1000; ++k) {
+      ASSERT_FALSE(table.lookup(random_address(rng, other)).has_value());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ipd::core
