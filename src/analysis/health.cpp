@@ -304,10 +304,12 @@ void HealthEngine::install_default_rules(const core::IpdParams& params) {
   stall.reason = "a registered task missed its heartbeat deadline";
   add_rule(std::move(stall));
 
-  // Shard-load imbalance: the max/mean flow ratio across stage-2 shard
-  // slots staying high means one slot serializes the parallel cycle
-  // (Amdahl bound) — the operator should enable --rebalance-cut or raise
-  // shard_bits. No-op on the sequential engine (series never published).
+  // Shard-load imbalance: the max/mean flow ratio across shard slots
+  // staying high means one slot's bucket serializes the stage-1 fan-out
+  // (Amdahl bound) — the operator should raise shard_bits so the hot
+  // region spreads over more slots. Stage 2 balances itself: its units
+  // are cut by work weight, not by shard. No-op on the sequential engine
+  // (series never published).
   ThresholdRule imbalance;
   imbalance.name = "shard-imbalance";
   imbalance.component = "stage2";
@@ -319,7 +321,8 @@ void HealthEngine::install_default_rules(const core::IpdParams& params) {
   imbalance.window_points = config_.window_points;
   imbalance.clear_after = 2;
   imbalance.reason =
-      "shard flow load is skewed: hottest slot far above the mean";
+      "shard flow load is skewed: hottest slot far above the mean "
+      "(raise shard_bits to spread it)";
   add_rule(std::move(imbalance));
 }
 

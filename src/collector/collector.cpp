@@ -18,7 +18,6 @@ ipd::core::EngineConfig engine_config(
   ipd::core::EngineConfig engine;
   engine.shard_bits = std::max(config.shard_bits, 0);
   engine.ingest_threads = config.ingest_threads;
-  engine.rebalance_cut = config.rebalance_cut;
   return engine;
 }
 

@@ -82,9 +82,6 @@ struct CollectorConfig {
   // shard, the same as 0) and `ingest_threads` stage-1/stage-2 workers.
   int shard_bits = -1;
   int ingest_threads = 1;
-  // Load-aware stage-2 cut rebalancing (see EngineConfig::rebalance_cut —
-  // never affects engine output).
-  bool rebalance_cut = false;
   // Records buffered on the IPD thread before an apply_batch() handoff.
   // Boundaries always flush first, so cycle semantics are unchanged.
   std::size_t engine_batch = 1024;

@@ -412,64 +412,55 @@ void IpdEngine::attach_metrics(obs::MetricsRegistry& registry) {
   observe(next);
 }
 
-void IpdEngine::rebuild_cut(FamilyState& state) {
+TrieCensus IpdEngine::rebuild_cut(FamilyState& state) {
   // Measure the interval's per-slot load (flows since the previous
-  // republish): the occupancy signal behind the load-aware chooser, the
-  // ipd_shard_occupancy metrics, and /shards. Flow counts are a pure
-  // function of the workload, so the chosen cut — and with it the parallel
-  // decomposition — is reproducible run to run.
+  // republish): the occupancy signal behind the ipd_shard_occupancy
+  // metrics and /shards.
   if (state.last_flows.size() != shard_count_) {
     state.last_flows.assign(shard_count_, 0);
     state.last_deltas.assign(shard_count_, 0);
   }
-  std::uint64_t total_delta = 0;
   for (std::size_t i = 0; i < shard_count_; ++i) {
     const std::uint64_t flows =
         state.slots[i]->flows.load(std::memory_order_relaxed);
     state.last_deltas[i] = flows - state.last_flows[i];
     state.last_flows[i] = flows;
-    total_delta += state.last_deltas[i];
   }
-  const bool rebalance = config_.rebalance_cut && total_delta > 0 &&
-                         config_.rebalance_depth > 0;
+
+  // Work weights are a pure function of the trie, so the chosen cut — and
+  // with it the parallel decomposition — is reproducible run to run.
+  const bool weighted = config_.ingest_threads > 1;
+  const TrieCensus census =
+      state.trie.census(weighted ? &state.weights : nullptr);
+  const std::uint64_t unit_limit =
+      weighted ? state.weights[state.trie.root_index()] /
+                     (4 * static_cast<std::uint64_t>(config_.ingest_threads))
+               : 0;
 
   state.cut.clear();
   state.cut_set.clear();
   std::uint32_t next_shard = 0;
-  // A member is hot when its slots carried more than rebalance_factor
-  // times the fair per-shard share of the family's flows last interval;
-  // hot members are expanded below the shard depth so their stage-2 work
-  // splits into more parallel units.
-  const std::function<void(RangeNode&, int, bool)> emit_member =
-      [&](RangeNode& node, int depth, bool hot) {
-        if (hot && !node.is_leaf() &&
-            depth < config_.shard_bits + config_.rebalance_depth) {
-          emit_member(*state.trie.child(node, 0), depth + 1, true);
-          emit_member(*state.trie.child(node, 1), depth + 1, true);
-          return;
-        }
-        state.cut.push_back(node.index());
-        state.cut_set.insert(node.index());
-      };
+  // A member heavier than the unit limit splits into its two children,
+  // low child first, so the units stay in address order.
+  const std::function<void(RangeNode&)> emit_unit = [&](RangeNode& node) {
+    if (weighted && !node.is_leaf() &&
+        state.weights[node.index()] > unit_limit) {
+      emit_unit(*state.trie.child(node, 0));
+      emit_unit(*state.trie.child(node, 1));
+      return;
+    }
+    state.cut.push_back(node.index());
+    state.cut_set.insert(node.index());
+  };
   // Depth-first in address order: a cut member at depth d <= k covers the
   // next 2^(k - d) shards, all owned by its first shard's slot.
   const std::function<void(RangeNode&, int)> walk = [&](RangeNode& node,
                                                         int depth) {
     if (node.is_leaf() || depth >= config_.shard_bits) {
       const std::uint32_t slot = next_shard;
-      const std::uint32_t span = static_cast<std::uint32_t>(
-          std::size_t{1} << (config_.shard_bits - depth));
-      std::uint64_t member_delta = 0;
-      for (std::uint32_t s = 0; s < span; ++s) {
-        member_delta += state.last_deltas[next_shard];
-        state.owner[next_shard++] = slot;
-      }
-      const bool hot =
-          rebalance && static_cast<double>(member_delta) *
-                               static_cast<double>(shard_count_) >
-                           config_.rebalance_factor *
-                               static_cast<double>(total_delta);
-      emit_member(node, depth, hot);
+      const std::size_t span = std::size_t{1} << (config_.shard_bits - depth);
+      for (std::size_t s = 0; s < span; ++s) state.owner[next_shard++] = slot;
+      emit_unit(node);
       return;
     }
     walk(*state.trie.child(node, 0), depth + 1);
@@ -477,6 +468,7 @@ void IpdEngine::rebuild_cut(FamilyState& state) {
   };
   walk(state.trie.root(), 0);
   assert(next_shard == shard_count_);
+  return census;
 }
 
 // ---------------------------------------------------------------------------
@@ -682,9 +674,9 @@ void IpdEngine::spine_pass(FamilyState& state, RangeNode& node,
                            util::Timestamp now, CycleStats& out,
                            PhaseAccum& phases, const CycleSinks& sinks) {
   // Post-order over the spine only (internal nodes above the cut): every
-  // cut member's subtree, and every leaf, already ran inside its member's
-  // pass. Membership is tested against the cut itself rather than a fixed
-  // depth — the load-aware rebalancer can hold members below the shard
+  // unit's subtree, and every leaf, already ran inside its unit's pass.
+  // Membership is tested against the cut itself rather than a fixed depth
+  // — the weighted cut holds heavy members expanded below the shard
   // depth. This reproduces the tail of the whole-trie post-order walk,
   // including same-cycle join cascades up the spine.
   if (node.state() != RangeNode::State::Internal ||
@@ -702,71 +694,70 @@ void IpdEngine::cycle_family(FamilyState& state, util::Timestamp now,
   const std::size_t units = state.cut.size();
   if (units <= 1) {
     // One unit means the cut is the root itself (unrefined family, or
-    // shard_bits == 0): the plain post-order pass, global sinks inline.
+    // shard_bits == 0 on one thread): the plain post-order pass, global
+    // sinks inline.
     cycle_over_trie(state.trie, params_, now, out, phases, global_sinks);
-    rebuild_cut(state);
     return;
   }
 
   // Parallel per-unit cycles. Decisions and transitions go to per-unit
   // buffers so the parallel section never contends on the global logs,
   // then drain in cut (address) order for a deterministic sequence.
-  struct UnitResult {
-    CycleStats stats;
-    PhaseAccum phases;
-    std::unique_ptr<DecisionLog> decisions;
-    std::unique_ptr<CycleDeltaLog> transitions;
-  };
-  std::vector<UnitResult> results(units);
-  for (UnitResult& r : results) {
-    r.phases.enabled = phases.enabled;
-    if (observers_.decisions) {
-      r.decisions = std::make_unique<DecisionLog>(kUnitSinkCapacity);
+  if (units_.size() < units) units_.resize(units);
+  for (std::size_t i = 0; i < units; ++i) {
+    CycleUnit& unit = units_[i];
+    unit.stats = {};
+    unit.phases = {};
+    unit.phases.enabled = phases.enabled;
+    if (observers_.decisions && !unit.decisions) {
+      unit.decisions = std::make_unique<DecisionLog>(kUnitSinkCapacity);
     }
-    if (observers_.cycle_deltas) {
-      r.transitions = std::make_unique<CycleDeltaLog>(kUnitSinkCapacity);
+    if (observers_.cycle_deltas && !unit.transitions) {
+      unit.transitions = std::make_unique<CycleDeltaLog>(kUnitSinkCapacity);
     }
   }
   pool_->run(units, [&](std::size_t i) {
+    CycleUnit& unit = units_[i];
     // thread_sampler() binds to the *executing* thread (worker or caller),
     // so each unit's rdpmc reads hit that thread's own counter group.
     if (observers_.perf != nullptr) {
-      results[i].phases.sampler = observers_.perf->thread_sampler();
+      unit.phases.sampler = observers_.perf->thread_sampler();
     }
-    const CycleSinks sinks{results[i].decisions.get(),
-                           results[i].transitions.get()};
+    const CycleSinks sinks{
+        observers_.decisions ? unit.decisions.get() : nullptr,
+        observers_.cycle_deltas ? unit.transitions.get() : nullptr};
     cycle_over_subtree(state.trie, state.trie.node(state.cut[i]), params_, now,
-                       results[i].stats, results[i].phases, sinks);
+                       unit.stats, unit.phases, sinks);
   });
-  for (UnitResult& r : results) {
-    out.classifications += r.stats.classifications;
-    out.splits += r.stats.splits;
-    out.joins += r.stats.joins;
-    out.drops += r.stats.drops;
-    out.compactions += r.stats.compactions;
+  for (std::size_t i = 0; i < units; ++i) {
+    CycleUnit& unit = units_[i];
+    out.classifications += unit.stats.classifications;
+    out.splits += unit.stats.splits;
+    out.joins += unit.stats.joins;
+    out.drops += unit.stats.drops;
+    out.compactions += unit.stats.compactions;
     for (std::size_t p = 0; p < kNumCyclePhases; ++p) {
-      phases.ns[p] += r.phases.ns[p];
-      phases.perf[p].cycles += r.phases.perf[p].cycles;
-      phases.perf[p].instructions += r.phases.perf[p].instructions;
-      phases.perf[p].llc_misses += r.phases.perf[p].llc_misses;
+      phases.ns[p] += unit.phases.ns[p];
+      phases.perf[p].cycles += unit.phases.perf[p].cycles;
+      phases.perf[p].instructions += unit.phases.perf[p].instructions;
+      phases.perf[p].llc_misses += unit.phases.perf[p].llc_misses;
     }
-    if (r.decisions) {
-      for (DecisionEvent event : r.decisions->snapshot()) {
+    if (observers_.decisions) {
+      for (DecisionEvent event : unit.decisions->snapshot()) {
         observers_.decisions->record(event);  // re-stamps the global sequence
       }
+      unit.decisions->clear();
     }
-    if (r.transitions) {
-      for (RangeTransition& t : r.transitions->drain()) {
+    if (observers_.cycle_deltas) {
+      for (RangeTransition& t : unit.transitions->drain()) {
         observers_.cycle_deltas->push(std::move(t));
       }
     }
   }
 
   // Cross-unit merge: the whole-trie walk's spine tail (join/compact over
-  // internal nodes above the cut, post-order so joins cascade), then
-  // re-derive the cut from whatever the cycle did to the top k levels.
+  // internal nodes above the cut, post-order so joins cascade).
   spine_pass(state, state.trie.root(), now, out, phases, global_sinks);
-  rebuild_cut(state);
 }
 
 CycleStats IpdEngine::run_cycle(util::Timestamp now) {
@@ -787,11 +778,12 @@ CycleStats IpdEngine::run_cycle(util::Timestamp now) {
   cycle_family(v6_, now, out, phases);
 
   // Partition census after all structural changes: one walk per family,
-  // whose totals the metric gauges reuse.
+  // whose totals the metric gauges reuse and whose subtree weights shape
+  // the next cycle's units.
   std::array<TrieCensus, 2> census;
-  for (const FamilyState* state : {&v4_, &v6_}) {
+  for (FamilyState* state : {&v4_, &v6_}) {
     const TrieCensus& c = census[family_index(state->family)] =
-        state->trie.census();
+        rebuild_cut(*state);
     out.ranges_total += c.classified + c.monitoring;
     out.ranges_classified += c.classified;
     out.ranges_monitoring += c.monitoring;
@@ -870,10 +862,6 @@ std::string IpdEngine::shards_json() const {
   std::string out = "{";
   out += util::format("\"shard_bits\":%d,", config_.shard_bits);
   out += util::format("\"shard_count\":%zu,", shard_count_);
-  out += util::format("\"rebalance_cut\":%s,",
-                      config_.rebalance_cut ? "true" : "false");
-  out += util::format("\"rebalance_factor\":%g,", config_.rebalance_factor);
-  out += util::format("\"rebalance_depth\":%d,", config_.rebalance_depth);
   out += "\"families\":[";
   bool first_family = true;
   for (const FamilyState* state : {&v4_, &v6_}) {

@@ -21,27 +21,38 @@
 // member is shard-aligned (a leaf at depth d < k covers 2^(k-d) whole
 // shards), the members tile the address space in address order, and no
 // stage-1 or stage-2 operation on one member's subtree touches another's.
-//   * stage 1 — a batch's rows are bucketed per cut member in arrival
-//     order and the buckets fanned out to the worker pool, one lock
-//     acquisition per member per batch;
+//   * stage 1 — a batch's rows are bucketed per owning slot (one per
+//     shard-level cut member) in arrival order and the buckets fanned out
+//     to the worker pool, one lock acquisition per slot per batch;
 //   * stage 2 — the per-subtree cycle passes run in parallel across the
-//     cut, followed by the sequential join/compact walk over the *spine*
-//     (internal nodes above the cut) and a cut rebuild.
-// With k = 0 (the default) the cut is the root, there is one bucket per
-// family, and the cycle is the plain post-order walk over each trie: the
-// sequential engine of the paper's §5.7 deployment.
+//     cut's *units*, followed by the sequential join/compact walk over the
+//     *spine* (internal nodes above the units) and a cut rebuild.
+// Stage 2's units are the shard cut, refined by work weight: when the
+// engine has worker threads, the census walk that closes every cycle also
+// sums each subtree's weight (leaves plus per-IP table slots, what the
+// next cycle's walk visits), and the cut rebuild expands any member heavier
+// than 1/(4 * ingest_threads) of its family's weight into its two children,
+// recursively, below the shard depth if need be. A member below the shard
+// depth shares its shard's slot, so stage 1 is unaffected. The units stay
+// in address order; one unit no longer carries a whole family's work just
+// because its traffic sits under one shard prefix (all of IPv6 global
+// unicast lies under 2000::/3). With one thread the cut is the shard cut.
+// With k = 0 (the default) and one thread the cut is the root, there is one
+// bucket per family, and the cycle is the plain post-order walk over each
+// trie: the sequential engine of the paper's §5.7 deployment.
 //
 // Output is byte-identical at every shard count and thread count (the
 // determinism differentials assert it): stage 1 mutates only leaf contents
 // under the owning member's lock, in arrival order per member — the same
 // per-leaf sample order as record-at-a-time ingest — and stage 2's
-// post-order walk decomposes exactly into the per-member walks plus the
-// spine walk, whose operations touch disjoint state. Leaf-level
-// transitions (classify/demote) are buffered per member during the
-// parallel section and drained in cut (== address) order. The only
-// observable difference is decision-log *interleaving* within a cycle:
-// above one cut member, spine join/compact events follow all member
-// events.
+// post-order walk decomposes exactly into the per-unit walks plus the
+// spine walk, whose operations touch disjoint state. The cut therefore
+// only shapes the decomposition, never which operations run or in what
+// per-leaf order. Leaf-level transitions (classify/demote) are buffered
+// per unit during the parallel section and drained in cut (== address)
+// order. The only observable difference is decision-log *interleaving*
+// within a cycle: above one unit, spine join/compact events follow all
+// unit events.
 //
 // Thread safety: ingest/apply_batch/for_each_leaf/locate/observers take
 // the structure lock shared (per-slot mutexes serialize work inside one
@@ -90,19 +101,10 @@ struct EngineConfig {
   /// cidr_max just cap out at the trie's actual width.
   int shard_bits = 0;
   /// Worker threads for stage-1 fan-out and stage-2 subtree cycles. 1 runs
-  /// everything inline on the calling thread.
+  /// everything inline on the calling thread. Above 1, stage 2's units are
+  /// also refined by work weight (see the header comment), which shapes
+  /// only the parallel decomposition, never the output.
   int ingest_threads = 1;
-  /// Load-aware cut rebalancing. When a shard slot carried more than
-  /// `rebalance_factor` times the fair per-shard share of its family's
-  /// flows over the last stage-2 interval, the cut member covering it is
-  /// expanded up to `rebalance_depth` levels below the shard depth on the
-  /// next cut republish, splitting that hot region's stage-2 work into
-  /// more parallel units. The cut only shapes the parallel decomposition —
-  /// never which operations run or in what per-leaf order — so rebalancing
-  /// cannot change engine output and is safe to enable anywhere.
-  bool rebalance_cut = false;
-  double rebalance_factor = 2.0;
-  int rebalance_depth = 2;
 };
 
 /// Stable handles into a MetricsRegistry for everything the engine exports.
@@ -251,10 +253,9 @@ class IpdEngine {
   /// The root prefix of shard `index` of `family`.
   net::Prefix shard_prefix(net::Family family, std::size_t index) const;
 
-  /// Current number of independently lockable / parallelizable subtrees in
-  /// the family's cut (1 = the whole family is one unit, up to 2^k once
-  /// the partition refines to the shard depth — beyond 2^k while the
-  /// load-aware rebalancer holds hot members expanded).
+  /// Current number of stage-2 units in the family's cut (1 = the whole
+  /// family is one unit, up to 2^k once the partition refines to the shard
+  /// depth — beyond 2^k where the weighted cut expands heavy members).
   std::size_t parallel_units(net::Family family) const;
 
   /// JSON document for the /shards introspection endpoint: per-family
@@ -316,23 +317,36 @@ class IpdEngine {
     net::Family family;
     IpdTrie trie;
     std::vector<std::unique_ptr<Slot>> slots;  // 2^k, fixed
-    // Cut members in address order, as indices into the trie's node pool
-    // (indices are stable across splits; freed slots are only reused for
-    // nodes created under the exclusive lock, so a cut index can never
-    // silently re-point mid-cycle). Rebuilt after every cycle under the
-    // exclusive structure lock; read under the shared lock.
+    // Cut members (stage-2 units) in address order, as indices into the
+    // trie's node pool (indices are stable across splits; freed slots are
+    // only reused for nodes created under the exclusive lock, so a cut
+    // index can never silently re-point mid-cycle). Rebuilt after every
+    // cycle under the exclusive structure lock; read under the shared lock.
     std::vector<NodeIndex> cut;
     // Same members as a set, for the spine walk's "stop at the cut" test
-    // (with rebalancing the cut is no longer a fixed-depth frontier).
+    // (the weighted cut is no longer a fixed-depth frontier).
     std::unordered_set<NodeIndex> cut_set;
     // shard index -> slot index of the cut member owning that shard. Cut
     // members deeper than shard_bits all share their shard's slot.
     std::vector<std::uint32_t> owner;
     // Per-slot lifetime flow counts at the last cut republish, and the
     // delta accumulated over the last stage-2 interval — the occupancy
-    // signal driving the load-aware cut chooser and /shards.
+    // signal behind /shards and the shard-occupancy metrics.
     std::vector<std::uint64_t> last_flows;
     std::vector<std::uint64_t> last_deltas;
+    // Subtree work weights by node index, written by the census walk in
+    // rebuild_cut (with worker threads only); scratch, valid only there.
+    std::vector<std::uint64_t> weights;
+  };
+
+  /// One stage-2 unit's private result and sinks. Kept across cycles (one
+  /// per unit index) so the parallel section allocates no sinks; the
+  /// sinks are emptied by the in-order drain that follows it.
+  struct CycleUnit {
+    CycleStats stats;
+    PhaseAccum phases;
+    std::unique_ptr<DecisionLog> decisions;
+    std::unique_ptr<CycleDeltaLog> transitions;
   };
 
   /// Reusable per-batch storage, pooled so concurrent apply_batch calls
@@ -384,11 +398,14 @@ class IpdEngine {
   void apply_bucket(const netflow::FlowBatch& batch, Staging& staging,
                     std::size_t active_index) noexcept;
 
-  /// Re-derive the cut and the shard->slot ownership map from the trie's
-  /// current top k levels, measuring per-slot occupancy since the last
-  /// republish and (when rebalance_cut is set) expanding hot members
-  /// below the shard depth. Exclusive structure lock required.
-  void rebuild_cut(FamilyState& state);
+  /// Take the family's census (one walk over every node, which with
+  /// worker threads also sums each subtree's work weight), then re-derive
+  /// the cut and the shard->slot ownership map: the shard cut from the
+  /// trie's top k levels, each member expanded while it is internal and
+  /// heavier than 1/(4 * ingest_threads) of the family's weight. Also
+  /// measures per-slot occupancy since the last republish. Returns the
+  /// census. Exclusive structure lock required.
+  TrieCensus rebuild_cut(FamilyState& state);
 
   void cycle_family(FamilyState& state, util::Timestamp now, CycleStats& out,
                     PhaseAccum& phases);
@@ -414,6 +431,9 @@ class IpdEngine {
   FamilyState v6_;
 
   std::unique_ptr<WorkerPool> pool_;
+  // Per-unit results and sinks of the stage-2 parallel section, by unit
+  // index; used under the exclusive structure lock only.
+  std::vector<CycleUnit> units_;
 
   obs::InstrumentedMutex staging_mutex_{"engine.staging"};
   std::vector<std::unique_ptr<Staging>> staging_pool_;

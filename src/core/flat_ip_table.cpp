@@ -23,12 +23,17 @@ namespace {
 
 /// Sequential reference semantics for one op (also the tail/fallback path).
 void apply_one(const FlatIpTable::ApplyOp& op) {
-  IpEntry& entry = op.table->find_or_insert(*op.key);
-  if (op.ts > entry.last_seen) entry.last_seen = op.ts;
-  entry.add(op.link, op.n);
+  op.table->add(*op.key, op.ts, op.link, op.n);
 }
 
 }  // namespace
+
+void FlatIpTable::add(const net::IpAddress& key, util::Timestamp ts,
+                      topology::LinkId link, std::uint64_t n) {
+  IpEntry& entry = find_or_insert(key);
+  if (ts > entry.last_seen) entry.last_seen = ts;
+  add_count(entry, link, n);
+}
 
 void FlatIpTable::apply_many(std::span<const ApplyOp> ops) {
   // Chains the out-of-order window can't span: keep this many probe walks
@@ -103,7 +108,7 @@ void FlatIpTable::apply_many(std::span<const ApplyOp> ops) {
         const ApplyOp& op = ops[w.op];
         IpEntry& entry = slot.kv.second;
         if (op.ts > entry.last_seen) entry.last_seen = op.ts;
-        entry.add(op.link, op.n);
+        w.table->add_count(entry, op.link, op.n);
         if (w.table->at_growth_trigger()) owed.push_back(w.table);
       } else {
         w.slot = (w.slot + 1) & (w.table->capacity_ - 1);
@@ -196,6 +201,7 @@ void FlatIpTable::insert_moved(const net::IpAddress& key, IpEntry&& entry) {
   IpEntry& dst = find_or_insert(key);
   assert(dst.total == 0 && "insert_moved requires an absent key");
   dst = std::move(entry);
+  spilled_bytes_ += dst.counts.heap_bytes();
 }
 
 void FlatIpTable::compact() {
@@ -208,7 +214,7 @@ void FlatIpTable::compact() {
   if (target <= capacity_ / 4) rehash(target);
 }
 
-std::size_t FlatIpTable::memory_bytes() const noexcept {
+std::size_t FlatIpTable::recounted_memory_bytes() const noexcept {
   std::size_t bytes = capacity_ * sizeof(Slot);
   for (const auto& [ip, entry] : *this) {
     (void)ip;
@@ -265,6 +271,7 @@ void FlatIpTable::destroy() noexcept {
   slots_ = nullptr;
   capacity_ = 0;
   size_ = 0;
+  spilled_bytes_ = 0;
 }
 
 }  // namespace ipd::core

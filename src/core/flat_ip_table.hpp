@@ -17,8 +17,11 @@
 // subtracts from in slot order are IngressCounts, which is canonically
 // ordered and exact on integer counts, so slot order never reaches them.
 //
-// memory_bytes() is exact: capacity * sizeof(Slot) plus every entry's
-// spilled counter storage.
+// memory_bytes() is exact and O(1): capacity * sizeof(Slot) plus a running
+// sum of every entry's spilled counter storage. Per-IP counters change only
+// through the table (add, apply_many, insert_moved, erase_if, drain, clear),
+// each of which carries the sum along, so no caller can bypass it;
+// recounted_memory_bytes() is the slot walk it must equal.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +38,8 @@ namespace ipd::core {
 
 struct SnapshotAccess;  // snapshot serializer; see trie.hpp
 
-/// Per-masked-source-IP state inside a Monitoring range.
+/// Per-masked-source-IP state inside a Monitoring range. Read-only outside
+/// the owning FlatIpTable, which accounts for the counters' heap spill.
 struct IpEntry {
   util::Timestamp last_seen = 0;
   std::uint64_t total = 0;
@@ -43,7 +47,10 @@ struct IpEntry {
   // so two pairs stay inline with the entry.
   util::SmallVec<util::PodPair<topology::LinkId, std::uint64_t>, 2> counts;
 
-  void add(topology::LinkId link, std::uint64_t n = 1) {
+ private:
+  friend class FlatIpTable;
+
+  void add(topology::LinkId link, std::uint64_t n) {
     total += n;
     for (auto& [l, c] : counts) {
       if (l == link) {
@@ -61,10 +68,14 @@ class FlatIpTable {
 
   FlatIpTable() noexcept = default;
   FlatIpTable(FlatIpTable&& other) noexcept
-      : slots_(other.slots_), capacity_(other.capacity_), size_(other.size_) {
+      : slots_(other.slots_),
+        capacity_(other.capacity_),
+        size_(other.size_),
+        spilled_bytes_(other.spilled_bytes_) {
     other.slots_ = nullptr;
     other.capacity_ = 0;
     other.size_ = 0;
+    other.spilled_bytes_ = 0;
   }
   FlatIpTable& operator=(FlatIpTable&& other) noexcept {
     if (this != &other) {
@@ -72,9 +83,11 @@ class FlatIpTable {
       slots_ = other.slots_;
       capacity_ = other.capacity_;
       size_ = other.size_;
+      spilled_bytes_ = other.spilled_bytes_;
       other.slots_ = nullptr;
       other.capacity_ = 0;
       other.size_ = 0;
+      other.spilled_bytes_ = 0;
     }
     return *this;
   }
@@ -86,8 +99,11 @@ class FlatIpTable {
   bool empty() const noexcept { return size_ == 0; }
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// The entry for `key`, inserted default-initialized if absent.
-  IpEntry& find_or_insert(const net::IpAddress& key);
+  /// One per-IP sample (stage 1): the entry for `key`, inserted if absent,
+  /// takes the later of its last_seen and `ts` and adds `n` to `link`'s
+  /// count.
+  void add(const net::IpAddress& key, util::Timestamp ts,
+           topology::LinkId link, std::uint64_t n);
 
   /// One per-IP sample application against a specific table; the unit of
   /// apply_many().
@@ -100,9 +116,7 @@ class FlatIpTable {
   };
 
   /// Apply every op exactly as the sequential loop
-  ///   `IpEntry& e = op.table->find_or_insert(*op.key);
-  ///    if (op.ts > e.last_seen) e.last_seen = op.ts;
-  ///    e.add(op.link, op.n);`
+  ///   `op.table->add(*op.key, op.ts, op.link, op.n);`
   /// would in span order, but with the probe chains software-interleaved:
   /// ~16 independent walks stay in flight round-robin, each visit advances
   /// one chain a slot and prefetches the next, so dependent slot loads
@@ -123,7 +137,7 @@ class FlatIpTable {
   static void apply_many(std::span<const ApplyOp> ops);
 
   /// Prefetch the start of the probe chain for `key`. The batched ingest
-  /// path issues this a few records ahead of the matching find_or_insert
+  /// path issues this a few records ahead of the matching add
   /// so the (usually LLC-missing) slot lines are in flight while other
   /// records are applied. A Slot spans more than one cache line and linear
   /// probing often reads into the next slot, so fetch the two lines the
@@ -145,6 +159,20 @@ class FlatIpTable {
   /// absent.
   void insert_moved(const net::IpAddress& key, IpEntry&& entry);
 
+  /// Hand every entry to `fn(key, IpEntry&&)` in slot order, then release
+  /// the table as clear() does (split redistribution).
+  template <class Fn>
+  void drain(Fn&& fn) {
+    for (std::size_t i = 0; i < capacity_; ++i) {
+      Slot& slot = slots_[i];
+      if (slot.used) {
+        fn(static_cast<const net::IpAddress&>(slot.kv.first),
+           std::move(slot.kv.second));
+      }
+    }
+    destroy();
+  }
+
   /// Erase every entry for which `pred(key, entry)` holds; returns the
   /// number removed. Backward-shift deletion, no tombstones.
   template <class Pred>
@@ -155,6 +183,7 @@ class FlatIpTable {
       Slot& slot = slots_[i];
       if (slot.used && pred(static_cast<const net::IpAddress&>(slot.kv.first),
                             static_cast<const IpEntry&>(slot.kv.second))) {
+        spilled_bytes_ -= slot.kv.second.counts.heap_bytes();
         erase_slot(i);
         ++removed;
         // Backward shift may pull an unexamined entry into slot i;
@@ -177,10 +206,17 @@ class FlatIpTable {
   void compact();
 
   /// Exact heap bytes owned by this table: the slot array plus spilled
-  /// per-entry counter storage.
-  std::size_t memory_bytes() const noexcept;
+  /// per-entry counter storage, from the running sum — O(1).
+  std::size_t memory_bytes() const noexcept {
+    return capacity_ * sizeof(Slot) + spilled_bytes_;
+  }
 
-  // Slot-order iteration over used entries.
+  /// memory_bytes() recounted by visiting every slot: the reference the
+  /// running sum must equal (IpdTrie::census asserts it in Debug builds).
+  std::size_t recounted_memory_bytes() const noexcept;
+
+  // Slot-order iteration over used entries (read-only: counters change
+  // through the table).
   template <class SlotT, class ValueT>
   class Iter {
    public:
@@ -213,11 +249,8 @@ class FlatIpTable {
   };
 
  public:
-  using iterator = Iter<Slot, value_type>;
   using const_iterator = Iter<const Slot, const value_type>;
 
-  iterator begin() noexcept { return {slots_, slots_ + capacity_}; }
-  iterator end() noexcept { return {slots_ + capacity_, slots_ + capacity_}; }
   const_iterator begin() const noexcept {
     return {slots_, slots_ + capacity_};
   }
@@ -229,6 +262,16 @@ class FlatIpTable {
   friend struct SnapshotAccess;
 
   static constexpr std::size_t kMinCapacity = 8;
+
+  /// The entry for `key`, inserted default-initialized if absent.
+  IpEntry& find_or_insert(const net::IpAddress& key);
+
+  /// `entry.add(link, n)` with the spill sum carried along.
+  void add_count(IpEntry& entry, topology::LinkId link, std::uint64_t n) {
+    const std::size_t before = entry.counts.heap_bytes();
+    entry.add(link, n);
+    spilled_bytes_ += entry.counts.heap_bytes() - before;
+  }
 
   /// Slot arrays at least this large are allocated 2 MiB-aligned and
   /// advised onto transparent huge pages. Busy Monitoring leaves hold
@@ -269,6 +312,7 @@ class FlatIpTable {
   Slot* slots_ = nullptr;
   std::size_t capacity_ = 0;  // 0 or a power of two
   std::size_t size_ = 0;
+  std::size_t spilled_bytes_ = 0;  // sum of entries' counts.heap_bytes()
 };
 
 }  // namespace ipd::core

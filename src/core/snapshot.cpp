@@ -394,6 +394,7 @@ struct SnapshotAccess {
         }
         entry.counts.push_back({link, count});
       }
+      table.spilled_bytes_ += entry.counts.heap_bytes();
       slot.used = true;
     }
   }

@@ -10,11 +10,7 @@ void RangeNode::add_sample(util::Timestamp ts, const net::IpAddress& masked_ip,
   assert(n >= 1 && "expire_before's exact subtraction needs weights >= 1");
   counts_.add(link, static_cast<double>(n));
   if (ts > last_update_) last_update_ = ts;
-  if (state_ == State::Monitoring) {
-    IpEntry& entry = ips_.find_or_insert(masked_ip);
-    if (ts > entry.last_seen) entry.last_seen = ts;
-    entry.add(link, n);
-  }
+  if (state_ == State::Monitoring) ips_.add(masked_ip, ts, link, n);
 }
 
 void RangeNode::expire_before(util::Timestamp cutoff) {
@@ -152,16 +148,15 @@ bool IpdTrie::split(RangeNode& node) {
   nodes_.fetch_add(2, std::memory_order_relaxed);
   leaves_.fetch_add(1, std::memory_order_relaxed);  // one leaf becomes two
 
-  for (auto& [ip, entry] : node.ips_) {
+  node.ips_.drain([&](const net::IpAddress& ip, IpEntry&& entry) {
     RangeNode& child = ip.bit(len) ? child1 : child0;
     for (const auto& [link, c] : entry.counts) {
       child.counts_.add(link, static_cast<double>(c));
     }
     if (entry.last_seen > child.last_update_) child.last_update_ = entry.last_seen;
     child.ips_.insert_moved(ip, std::move(entry));
-  }
+  });
   node.state_ = RangeNode::State::Internal;
-  node.ips_.clear();
   node.counts_.clear();
   node.last_update_ = 0;
   return true;
@@ -264,35 +259,58 @@ void IpdTrie::visit_post(RangeNode& node,
   fn(node);
 }
 
-TrieCensus IpdTrie::census() const noexcept {
+TrieCensus IpdTrie::census(std::vector<std::uint64_t>* weights) const {
   // One iterative walk over every node: interior nodes own no heap today,
-  // but the exact byte count does not rely on that.
+  // but the exact byte count does not rely on that. Every node's heap is
+  // O(1) to read (FlatIpTable keeps its spill sum), so the walk is
+  // O(nodes), not O(per-IP slots).
   TrieCensus out;
   out.memory_bytes = pool_->bytes();
+  if (weights != nullptr) weights->resize(pool_->high_water());
+  // Internal nodes in pre-order, summed in reverse once the walk is done:
+  // a node's children always come after it.
+  std::vector<NodeIndex> internal;
   std::vector<NodeIndex> stack{root_};
   while (!stack.empty()) {
-    const RangeNode& n = resolve(stack.back());
+    const NodeIndex index = stack.back();
+    const RangeNode& n = resolve(index);
     stack.pop_back();
+    assert(n.ips_.memory_bytes() == n.ips_.recounted_memory_bytes());
     out.memory_bytes += n.memory_bytes();
     switch (n.state_) {
       case RangeNode::State::Internal:
+        // The engine walks right after the cycle, whose workers touched
+        // most nodes last, so nodes tend to miss here: start both
+        // children's three lines now (the low child is visited next, the
+        // high one after the low subtree, which is often a single leaf).
+        for (const NodeIndex child : {n.child0_, n.child1_}) {
+          const char* line = reinterpret_cast<const char*>(&resolve(child));
+          __builtin_prefetch(line);
+          __builtin_prefetch(line + 64);
+          __builtin_prefetch(line + 128);
+        }
         stack.push_back(n.child1_);
         stack.push_back(n.child0_);
+        if (weights != nullptr) internal.push_back(index);
         break;
       case RangeNode::State::Classified:
         ++out.classified;
+        if (weights != nullptr) (*weights)[index] = 1;
         break;
       case RangeNode::State::Monitoring:
         ++out.monitoring;
         out.tracked_ips += n.ips_.size();
+        if (weights != nullptr) (*weights)[index] = 1 + n.ips_.capacity();
         break;
     }
+  }
+  for (auto it = internal.rbegin(); it != internal.rend(); ++it) {
+    const RangeNode& n = resolve(*it);
+    (*weights)[*it] = (*weights)[n.child0_] + (*weights)[n.child1_];
   }
   return out;
 }
 
-std::size_t IpdTrie::memory_bytes() const noexcept {
-  return census().memory_bytes;
-}
+std::size_t IpdTrie::memory_bytes() const { return census().memory_bytes; }
 
 }  // namespace ipd::core

@@ -161,6 +161,9 @@ class alignas(64) RangeNode {
   util::Timestamp classified_at_ = 0;
 };
 
+// Three cache lines; the table's running spill sum filled the last slack.
+static_assert(sizeof(RangeNode) == 192);
+
 /// One walk's worth of partition totals (IpdTrie::census).
 struct TrieCensus {
   std::size_t classified = 0;    // leaves by state
@@ -345,13 +348,16 @@ class IpdTrie {
   }
 
   /// Leaf counts by state, tracked IPs and exact heap bytes, from one
-  /// iterative walk over every node.
-  TrieCensus census() const noexcept;
+  /// iterative walk over every node. With `weights`, the same walk also
+  /// stores every node's subtree work weight at (*weights)[index] — one
+  /// per leaf plus the per-IP slots of the leaves below — for the engine's
+  /// cut chooser; entries of free pool slots are left unspecified.
+  TrieCensus census(std::vector<std::uint64_t>* weights = nullptr) const;
 
   /// Exact total heap usage in bytes: the node arena (block table plus
   /// mapped blocks) plus every node's owned heap (flat tables, spilled
   /// counters, bundle interface sets). A census() walk.
-  std::size_t memory_bytes() const noexcept;
+  std::size_t memory_bytes() const;
 
   /// Exact arena footprint alone (blocks + block table).
   std::size_t arena_bytes() const noexcept { return pool_->bytes(); }

@@ -9,10 +9,11 @@
 // included), and lifetime totals. The permutation case leans on stage 1
 // being order-free within a bin: add_sample takes max() on timestamps and
 // sums integer-valued weights, so any within-bin order must produce the
-// same bytes. The rebalanced-cut case proves the load-aware cut chooser
+// same bytes. The weighted-cut case proves the work-weighted cut chooser
 // changes only the parallel decomposition, never the output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -249,18 +250,40 @@ TEST_F(BatchApply, ShardedBatchesMatchSequential) {
   }
 }
 
-TEST_F(BatchApply, RebalancedCutNeverChangesOutput) {
-  // An aggressive rebalance config (low hotness bar, deep expansion) so
-  // the cut actually moves mid-run; the output must not.
+/// The stage-2 units as /shards lists them: every family's cut members.
+std::string cut_members(const core::IpdEngine& engine) {
+  const std::string json = engine.shards_json();
+  std::string members;
+  for (std::size_t at = json.find("\"cut_members\":["); at != std::string::npos;
+       at = json.find("\"cut_members\":[", at + 1)) {
+    members += json.substr(at, json.find(']', at) - at + 1);
+  }
+  return members;
+}
+
+TEST_F(BatchApply, WeightedCutMovesWithoutChangingOutput) {
+  // With worker threads the cut follows the partition's work weight, so
+  // it moves from cycle to cycle (and below the shard depth) as ranges
+  // split, fill and classify; the output must not.
   core::EngineConfig config;
   config.shard_bits = 2;
   config.ingest_threads = 4;
-  config.rebalance_cut = true;
-  config.rebalance_factor = 0.5;
-  config.rebalance_depth = 3;
   core::IpdEngine engine(*params_, config);
-  expect_equal(*reference_, run_binned(engine, *records_, kWholeBin),
-               "rebalanced cut");
+  std::vector<std::string> cuts;  // the cut each bin's cycle starts from
+  std::size_t max_units = 0;
+  const ApplyFn recording = [&](core::IpdEngine& e,
+                                std::span<const netflow::FlowRecord> bin) {
+    cuts.push_back(cut_members(e));
+    max_units = std::max(max_units, e.parallel_units(net::Family::V4));
+    kWholeBin(e, bin);
+  };
+  expect_equal(*reference_, run_binned(engine, *records_, recording),
+               "weighted cut");
+  std::sort(cuts.begin(), cuts.end());
+  const auto distinct = std::unique(cuts.begin(), cuts.end()) - cuts.begin();
+  EXPECT_GE(distinct, 3) << "the cut never moved";
+  EXPECT_GT(max_units, std::size_t{1} << config.shard_bits)
+      << "the cut never went below the shard depth";
 }
 
 }  // namespace

@@ -172,9 +172,7 @@ TEST(FlatIpTable, EmptyOwnsNoHeap) {
 TEST(FlatIpTable, InsertFindRoundTrip) {
   FlatIpTable table;
   for (std::uint32_t i = 0; i < 100; ++i) {
-    auto& entry = table.find_or_insert(ip_of(i * 2654435761u));
-    entry.last_seen = i;
-    entry.add(LinkId{1, 0}, i + 1);
+    table.add(ip_of(i * 2654435761u), i, LinkId{1, 0}, i + 1);
   }
   EXPECT_EQ(table.size(), 100u);
   for (std::uint32_t i = 0; i < 100; ++i) {
@@ -189,7 +187,7 @@ TEST(FlatIpTable, InsertFindRoundTrip) {
 TEST(FlatIpTable, CompactShrinksAfterMassErase) {
   FlatIpTable table;
   for (std::uint32_t i = 0; i < 4096; ++i) {
-    table.find_or_insert(ip_of(i)).last_seen = i;
+    table.add(ip_of(i), i, LinkId{1, 0}, 1);
   }
   const auto grown_capacity = table.capacity();
   const auto grown_bytes = table.memory_bytes();
@@ -246,9 +244,8 @@ TEST(FlatIpTable, ModelFuzzMatchesUnorderedMap) {
       for (int i = 0; i < batch; ++i) {
         const std::uint32_t key = rng() % 512;
         const std::uint64_t n = 1 + rng() % 5;
-        auto& entry = table.find_or_insert(ip_of(key));
-        entry.add(LinkId{static_cast<std::uint16_t>(rng() % 4), 0}, n);
-        entry.last_seen = round;
+        table.add(ip_of(key), round,
+                  LinkId{static_cast<std::uint16_t>(rng() % 4), 0}, n);
         model[key] += n;
       }
     } else if (op < 90) {
@@ -283,7 +280,7 @@ TEST(FlatIpTable, EraseKeepsProbeChainsIntact) {
     for (std::uint32_t i = 0; i < 200; ++i) {
       const std::uint32_t key = rng() % 4096;
       if (table.find(ip_of(key)) == nullptr) keys.push_back(key);
-      table.find_or_insert(ip_of(key)).total += 1;
+      table.add(ip_of(key), 0, LinkId{1, 0}, 1);
     }
     // Erase every other key, then verify the rest are all still findable.
     std::vector<std::uint32_t> survivors;
@@ -305,7 +302,7 @@ TEST(FlatIpTable, EraseKeepsProbeChainsIntact) {
 }
 
 /// apply_many is specified as byte-identical to the sequential
-/// find_or_insert loop — not just same entry values but same slot
+/// FlatIpTable::add loop — not just same entry values but same slot
 /// placement and same growth points, both observable through capacity and
 /// slot-order iteration. Fuzz it across hits, misses, in-batch duplicate
 /// keys, growth triggers, initially-empty tables, and span sizes on both
@@ -322,8 +319,8 @@ TEST(FlatIpTable, ApplyManyMatchesSequentialLoop) {
       const int seeds = t == 0 ? 100 : 190;  // 190/256 is just under 75%
       for (int s = 0; s < seeds; ++s) {
         const std::uint32_t key = rng() % 2048;
-        batched[t].find_or_insert(ip_of(key)).total += 1;
-        reference[t].find_or_insert(ip_of(key)).total += 1;
+        batched[t].add(ip_of(key), 0, LinkId{1, 0}, 1);
+        reference[t].add(ip_of(key), 0, LinkId{1, 0}, 1);
       }
     }
     // Small trials exercise the sequential fallback, large ones the
@@ -342,9 +339,7 @@ TEST(FlatIpTable, ApplyManyMatchesSequentialLoop) {
     }
     FlatIpTable::apply_many(ops);
     for (std::size_t i = 0; i < n_ops; ++i) {
-      IpEntry& entry = reference[table_of[i]].find_or_insert(keys[i]);
-      if (ops[i].ts > entry.last_seen) entry.last_seen = ops[i].ts;
-      entry.add(ops[i].link, ops[i].n);
+      reference[table_of[i]].add(keys[i], ops[i].ts, ops[i].link, ops[i].n);
     }
     for (int t = 0; t < kTables; ++t) {
       ASSERT_EQ(batched[t].capacity(), reference[t].capacity());
@@ -366,15 +361,15 @@ TEST(FlatIpTable, ApplyManyMatchesSequentialLoop) {
   }
 }
 
-// find_or_insert checks for growth before the lookup, so a hit on a table
+// add checks for growth before the lookup, so a hit on a table
 // sitting at its 75% trigger grows it. A batch of pure hits must do the
 // same through apply_many's interleaved walks.
 TEST(FlatIpTable, ApplyManyHitAtGrowthTriggerGrows) {
   FlatIpTable batched;
   FlatIpTable reference;
   for (std::uint32_t key = 0; key < 6; ++key) {  // 6 of 8 slots: at trigger
-    batched.find_or_insert(ip_of(key)).total += 1;
-    reference.find_or_insert(ip_of(key)).total += 1;
+    batched.add(ip_of(key), 0, LinkId{1, 0}, 1);
+    reference.add(ip_of(key), 0, LinkId{1, 0}, 1);
   }
   ASSERT_EQ(batched.capacity(), 8u);
   std::vector<IpAddress> keys;
@@ -382,9 +377,7 @@ TEST(FlatIpTable, ApplyManyHitAtGrowthTriggerGrows) {
   std::vector<FlatIpTable::ApplyOp> ops;
   for (const IpAddress& key : keys) {
     ops.push_back({&batched, &key, 5, LinkId{1, 0}, 1});
-    IpEntry& entry = reference.find_or_insert(key);
-    if (5 > entry.last_seen) entry.last_seen = 5;
-    entry.add(LinkId{1, 0}, 1);
+    reference.add(key, 5, LinkId{1, 0}, 1);
   }
   FlatIpTable::apply_many(ops);
   EXPECT_EQ(reference.capacity(), 16u);
@@ -400,18 +393,96 @@ TEST(FlatIpTable, ApplyManyHitAtGrowthTriggerGrows) {
 
 TEST(FlatIpTable, InsertMovedCarriesSpilledCounters) {
   FlatIpTable src;
-  auto& entry = src.find_or_insert(ip_of(42));
-  for (std::uint16_t i = 0; i < 6; ++i) entry.add(LinkId{i, 0}, 1);
-  ASSERT_FALSE(entry.counts.is_inline());
+  for (std::uint16_t i = 0; i < 6; ++i) src.add(ip_of(42), 0, LinkId{i, 0}, 1);
+  ASSERT_FALSE(src.find(ip_of(42))->counts.is_inline());
 
   FlatIpTable dst;
   // Split-style redistribution: move the entry wholesale.
-  dst.insert_moved(ip_of(42), std::move(src.find_or_insert(ip_of(42))));
+  src.drain([&dst](const IpAddress& ip, IpEntry&& entry) {
+    dst.insert_moved(ip, std::move(entry));
+  });
   const IpEntry* moved = dst.find(ip_of(42));
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->total, 6u);
   EXPECT_EQ(moved->counts.size(), 6u);
   EXPECT_GT(dst.memory_bytes(), dst.capacity() * sizeof(void*));
+}
+
+/// memory_bytes() is a running sum; recounted_memory_bytes() walks every
+/// slot. They must agree after every kind of table operation, with
+/// per-IP counters spilling to the heap and being released again.
+TEST(FlatIpTable, RunningMemoryMatchesRecountUnderChurn) {
+  std::mt19937 rng(0x5111u);
+  constexpr int kTables = 3;
+  FlatIpTable tables[kTables];
+  const auto check_all = [&](const char* op, int round) {
+    for (int t = 0; t < kTables; ++t) {
+      ASSERT_EQ(tables[t].memory_bytes(), tables[t].recounted_memory_bytes())
+          << op << " round " << round << " table " << t;
+    }
+  };
+  // Up to 6 links per key: entries spill past their two inline counters.
+  const auto random_link = [&rng] {
+    return LinkId{static_cast<std::uint16_t>(rng() % 6), 0};
+  };
+  bool spilled = false;
+  for (int round = 0; round < 400; ++round) {
+    FlatIpTable& table = tables[rng() % kTables];
+    const int op = static_cast<int>(rng() % 100);
+    if (op < 35) {
+      for (int i = 0, n = 1 + static_cast<int>(rng() % 24); i < n; ++i) {
+        table.add(ip_of(rng() % 256), round, random_link(), 1 + rng() % 3);
+      }
+      check_all("add", round);
+    } else if (op < 55) {
+      std::vector<IpAddress> keys(1 + rng() % 80);
+      std::vector<FlatIpTable::ApplyOp> ops;
+      for (IpAddress& key : keys) {
+        key = ip_of(rng() % 256);
+        ops.push_back({&tables[rng() % kTables], &key, round, random_link(),
+                       1 + rng() % 3});
+      }
+      FlatIpTable::apply_many(ops);
+      check_all("apply_many", round);
+    } else if (op < 70) {
+      const std::uint32_t modulus = 2 + rng() % 5;
+      const std::uint32_t residue = rng() % modulus;
+      table.erase_if([&](const IpAddress& ip, const IpEntry&) {
+        return ip.v4_value() % modulus == residue;
+      });
+      check_all("erase_if", round);
+      table.compact();
+      check_all("compact", round);
+    } else if (op < 80) {
+      // Split-style redistribution into two fresh tables by one key bit.
+      FlatIpTable low;
+      FlatIpTable high;
+      table.drain([&](const IpAddress& ip, IpEntry&& entry) {
+        (ip.v4_value() & 1 ? high : low).insert_moved(ip, std::move(entry));
+      });
+      ASSERT_EQ(low.memory_bytes(), low.recounted_memory_bytes());
+      ASSERT_EQ(high.memory_bytes(), high.recounted_memory_bytes());
+      check_all("drain", round);
+      table = std::move(rng() % 2 ? high : low);  // move assignment
+      check_all("insert_moved + move", round);
+    } else if (op < 90) {
+      FlatIpTable moved(std::move(table));  // move construction
+      ASSERT_EQ(moved.memory_bytes(), moved.recounted_memory_bytes());
+      check_all("move-from", round);
+      table = std::move(moved);
+      check_all("move back", round);
+    } else {
+      table.clear();
+      check_all("clear", round);
+    }
+    for (const FlatIpTable& t : tables) {
+      for (const auto& [ip, entry] : t) {
+        (void)ip;
+        spilled = spilled || !entry.counts.is_inline();
+      }
+    }
+  }
+  EXPECT_TRUE(spilled) << "no entry ever spilled: the sum was never tested";
 }
 
 }  // namespace

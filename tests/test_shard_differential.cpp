@@ -13,6 +13,7 @@
 // as a diff here.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,10 +36,12 @@ struct RunResult {
 };
 
 /// Replay `records` through `engine` with the standard runner cadence and
-/// capture everything the equivalence claim covers.
+/// capture everything the equivalence claim covers. `after_offer`, when
+/// set, runs after every offered record.
 RunResult run_workload(core::IpdEngine& engine,
                        const std::vector<netflow::FlowRecord>& records,
-                       std::size_t ingest_batch) {
+                       std::size_t ingest_batch,
+                       const std::function<void()>& after_offer = {}) {
   core::CycleDeltaLog deltas(std::size_t{1} << 20);
   engine.observe({.cycle_deltas = &deltas});
   analysis::RunnerConfig config;
@@ -55,7 +58,10 @@ RunResult run_workload(core::IpdEngine& engine,
     }
     result.dumps.push_back(std::move(dump));
   };
-  for (const auto& record : records) runner.offer(record);
+  for (const auto& record : records) {
+    runner.offer(record);
+    if (after_offer) after_offer();
+  }
   runner.finish();
   result.cycles = runner.cycles();
   result.transitions = deltas.drain();
@@ -226,6 +232,48 @@ TEST_F(ShardDifferential, FamilyActuallyParallelizes) {
   EXPECT_EQ(engine.shard_count(), 4u);
   EXPECT_LT(engine.shard_of(net::IpAddress::v4(0x00000001)), 4u);
   EXPECT_EQ(engine.shard_of(net::IpAddress::v4(0xC0000000)), 3u);
+}
+
+/// All of IPv6 global unicast lies under 2000::/3, so at shard_bits 4 one
+/// shard, 2000::/4, holds every IPv6 range. The work-weighted cut must
+/// still split that family into several stage-2 units, and the output
+/// must stay byte-identical to the sequential engine's.
+TEST(ShardDifferentialV6, OneShardFamilyStillParallelizes) {
+  workload::ScenarioConfig scenario = workload::small_test();
+  scenario.flows_per_minute = 5000;
+  scenario.bundle_as_rank = 0;
+  scenario.v6_share = 0.5;
+  workload::FlowGenerator gen(scenario);
+  constexpr util::Timestamp kStart = 18 * util::kSecondsPerHour;
+  std::vector<netflow::FlowRecord> records;
+  gen.run(kStart, kStart + 40 * 60,
+          [&records](const netflow::FlowRecord& r) { records.push_back(r); });
+  const core::IpdParams params = workload::scaled_params(scenario);
+
+  core::IpdEngine sequential(params);
+  const RunResult reference = run_workload(sequential, records, 4096);
+  ASSERT_GT(reference.stats.total_splits, 0u);
+
+  core::EngineConfig config;
+  config.shard_bits = 4;
+  config.ingest_threads = 3;
+  core::IpdEngine engine(params, config);
+  // The premise: every IPv6 source routes to one shard.
+  std::set<std::size_t> v6_shards;
+  for (const auto& record : records) {
+    if (!record.src_ip.is_v4()) v6_shards.insert(engine.shard_of(record.src_ip));
+  }
+  ASSERT_EQ(v6_shards.size(), 1u);
+  std::size_t max_units = 0;
+  const RunResult result = run_workload(engine, records, 4096, [&] {
+    max_units = std::max(max_units, engine.parallel_units(net::Family::V6));
+  });
+  expect_equal(reference, result, "v6 in one shard, shards=16 threads=3");
+  // The shard cut itself holds at most five IPv6 members here (8000::/1,
+  // 4000::/2 and ::/3 beside the path to 2000::/4, then 2000::/4 and
+  // 3000::/4), four of them empty; more units means the busy member was
+  // expanded.
+  EXPECT_GT(max_units, 5u);
 }
 
 /// Replay with a flow tracer attached and return the set of sampled flow

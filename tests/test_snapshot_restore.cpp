@@ -410,5 +410,50 @@ TEST_F(CrossShardRestore, TailExercisesCompactionAndFrees) {
   EXPECT_GT(tail_compactions, 0u);
 }
 
+/// A restored FlatIpTable rebuilds its running spill sum from the decoded
+/// entries: memory_bytes() equals the slot-walk recount and the donor's.
+TEST(SnapshotRestore, RestoredTablesKeepExactRunningMemory) {
+  core::IpdParams params;
+  core::IpdEngine donor(params);
+  // One Monitoring leaf (nothing reaches n_cidr) whose sources each
+  // arrive over up to five links, so many entries spill their counters.
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    for (std::uint16_t link = 0; link <= i % 5; ++link) {
+      donor.ingest(30, net::IpAddress::v4(0x0A000000u + (i << 8)),
+                   topology::LinkId{1, link}, 1);
+      donor.ingest(30, net::IpAddress::v6(0x2a00000000000000ull + (i << 16), 0),
+                   topology::LinkId{2, link}, 1);
+    }
+  }
+  const std::string bytes = core::save_snapshot(donor, core::SnapshotClock{});
+  core::EngineConfig config;
+  config.shard_bits = 2;
+  config.ingest_threads = 2;
+  core::IpdEngine restored(params, config);
+  core::restore_snapshot(restored, bytes);
+  std::size_t spilled = 0;
+  for (const net::Family family : {net::Family::V4, net::Family::V6}) {
+    std::vector<std::size_t> donor_bytes;
+    donor.for_each_leaf(family, [&](const core::RangeNode& node) {
+      donor_bytes.push_back(node.ips().memory_bytes());
+    });
+    std::size_t leaf = 0;
+    restored.for_each_leaf(family, [&](const core::RangeNode& node) {
+      const core::FlatIpTable& ips = node.ips();
+      EXPECT_EQ(ips.memory_bytes(), ips.recounted_memory_bytes());
+      ASSERT_LT(leaf, donor_bytes.size());
+      EXPECT_EQ(ips.memory_bytes(), donor_bytes[leaf++]);
+      for (const auto& [ip, entry] : ips) {
+        (void)ip;
+        if (!entry.counts.is_inline()) ++spilled;
+      }
+    });
+    EXPECT_EQ(leaf, donor_bytes.size());
+  }
+  EXPECT_GT(spilled, 100u);
+  EXPECT_EQ(restored.trie(net::Family::V4).memory_bytes(),
+            donor.trie(net::Family::V4).memory_bytes());
+}
+
 }  // namespace
 }  // namespace ipd

@@ -29,10 +29,6 @@
 //                           the engine (default 4096; boundaries always
 //                           flush first, so output is byte-identical for
 //                           any N >= 1)
-//   --rebalance-cut         re-choose the stage-2 cut
-//                           from measured per-shard flow load at each
-//                           publish (expands hot members; never changes
-//                           the engine's output, only its parallelism)
 //   --perf-counters[=phases]
 //                           attach hardware perf counters (cycles,
 //                           instructions, LLC, branch misses) charged per
@@ -128,7 +124,7 @@ int usage(const char* argv0) {
                "[--log-json] [--http-port=<port>] [--trace-out=<file>] "
                "[--decision-log[=N]] [--alerts-out=<file>] "
                "[--linger=<seconds>] [--shards=<N>] [--ingest-threads=<M>] "
-               "[--batch-size=<N>] [--rebalance-cut] "
+               "[--batch-size=<N>] "
                "[--perf-counters[=phases]] [--profile-out=<file>] "
                "[--profile-hz=<N>] [--flow-trace-out=<file>] "
                "[--snapshot-out=<file>] [--snapshot-every=<N>] "
@@ -154,7 +150,6 @@ int main(int argc, char** argv) {
   int shards = -1;          // -1: unset (one shard, 16 with --ingest-threads)
   int ingest_threads = -1;  // -1: default (1)
   std::size_t batch_size = 0;  // 0: RunnerConfig default
-  bool rebalance_cut = false;
   bool perf_enabled = false;
   bool perf_per_phase = false;
   std::string profile_out;
@@ -197,8 +192,6 @@ int main(int argc, char** argv) {
     } else if (util::starts_with(arg, "--batch-size=")) {
       batch_size = std::max<std::size_t>(
           1, util::parse_uint(arg.substr(13), 1 << 24));
-    } else if (arg == "--rebalance-cut") {
-      rebalance_cut = true;
     } else if (arg == "--perf-counters") {
       perf_enabled = true;
     } else if (arg == "--perf-counters=phases") {
@@ -281,12 +274,10 @@ int main(int argc, char** argv) {
   core::EngineConfig engine_config;
   while ((1 << engine_config.shard_bits) < shards) ++engine_config.shard_bits;
   engine_config.ingest_threads = std::max(ingest_threads, 1);
-  engine_config.rebalance_cut = rebalance_cut;
   core::IpdEngine engine(params, engine_config);
   util::log_info("engine",
                  {{"shards", shards},
-                  {"ingest_threads", engine_config.ingest_threads},
-                  {"rebalance_cut", rebalance_cut}});
+                  {"ingest_threads", engine_config.ingest_threads}});
 
   // One bundle, handed to the engine below. Replay is the decode stage,
   // so the engine synthesizes the flow tracer's Decode hops.
