@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -257,18 +258,59 @@ void BM_LpmLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_LpmLookup);
 
+/// One descent per shared_trace() source, each in its own family's trie
+/// of the classified_run() engine: a partition split and classified
+/// minute by minute, as deployed, so descents run as deep as they do in
+/// the field (warmed_engine()'s toy partition stops a few levels down).
 void BM_TrieLocate(benchmark::State& state) {
-  auto& engine = warmed_engine();
-  auto& trie = engine.trie(net::Family::V4);
+  core::IpdEngine& engine = *classified_run().engine;
   const auto& trace = shared_trace();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(&trie.locate(trace[i].src_ip));
+    const net::IpAddress& ip = trace[i].src_ip;
+    benchmark::DoNotOptimize(&engine.trie(ip.family()).locate(ip));
     if (++i == trace.size()) i = 0;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TrieLocate);
+
+/// The batched form of BM_TrieLocate: interleaved descents
+/// (IpdTrie::locate_many) over runs of kBatch same-family sources, the
+/// shape of one apply_batch bucket.
+void BM_TrieLocateMany(benchmark::State& state) {
+  constexpr std::size_t kBatch = 1024;
+  core::IpdEngine& engine = *classified_run().engine;
+  std::vector<net::IpAddress> by_family[2];
+  for (const auto& r : shared_trace()) {
+    by_family[r.src_ip.is_v4() ? 0 : 1].push_back(r.src_ip);
+  }
+  std::size_t cursor[2] = {0, 0};
+  std::uintptr_t sink = 0;
+  std::int64_t located = 0;
+  for (auto _ : state) {
+    for (int f = 0; f < 2; ++f) {
+      const std::vector<net::IpAddress>& ips = by_family[f];
+      if (ips.empty()) continue;
+      if (cursor[f] + kBatch > ips.size()) cursor[f] = 0;
+      const std::size_t n = std::min(kBatch, ips.size());
+      const net::IpAddress* const first = ips.data() + cursor[f];
+      engine.trie(first->family())
+          .locate_many(
+              n, [first](std::size_t k) -> const net::IpAddress& {
+                return first[k];
+              },
+              [&sink](std::size_t, core::RangeNode& leaf) {
+                sink += reinterpret_cast<std::uintptr_t>(&leaf);
+              });
+      cursor[f] += n;
+      located += static_cast<std::int64_t>(n);
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(located);
+}
+BENCHMARK(BM_TrieLocateMany);
 
 /// Stage-2 walk locality: stream over every leaf touching the per-range
 /// aggregates and the per-IP detail tables — the memory-access pattern of
@@ -456,14 +498,18 @@ void write_trie_layout_report() {
   // Exact accounting, cross-checked against an independent per-node sum.
   const std::size_t memory = trie.memory_bytes();
   const std::size_t arena = trie.arena_bytes();
-  std::size_t summed = arena;
+  const std::size_t directory =
+      trie.root().is_leaf()
+          ? 0
+          : core::IpdTrie::kDirectoryEntries * sizeof(core::NodeIndex);
+  std::size_t summed = arena + directory;
   std::size_t tracked_ips = 0;
   trie.post_order([&](core::RangeNode& node) {
     summed += node.memory_bytes();
     tracked_ips += node.ips().size();
   });
   const bool exact = summed == memory;
-  const std::size_t detail = memory - arena;
+  const std::size_t detail = memory - arena - directory;
   const double bytes_per_ip =
       tracked_ips != 0 ? static_cast<double>(detail) / tracked_ips : 0.0;
 
@@ -472,9 +518,9 @@ void write_trie_layout_report() {
       "entries/s)\n",
       leaves, ns_per_leaf, leaves_per_s, ips_per_s);
   std::printf(
-      "trie memory: %zu B exact (%zu arena + %zu detail), %zu tracked IPs, "
-      "%.1f detail B/IP, accounting %s, RSS %zu B\n",
-      memory, arena, detail, tracked_ips, bytes_per_ip,
+      "trie memory: %zu B exact (%zu arena + %zu directory + %zu detail), "
+      "%zu tracked IPs, %.1f detail B/IP, accounting %s, RSS %zu B\n",
+      memory, arena, directory, detail, tracked_ips, bytes_per_ip,
       exact ? "exact" : "MISMATCH", resident_bytes());
 
   bench::write_json_report(
@@ -484,13 +530,13 @@ void write_trie_layout_report() {
           "\"walk\":{\"leaves\":%zu,\"ns_per_leaf\":%.6g,"
           "\"leaves_per_s\":%.6g,\"ip_entries_per_s\":%.6g},"
           "\"memory\":{\"total_bytes\":%zu,\"arena_bytes\":%zu,"
-          "\"detail_bytes\":%zu,\"tracked_ips\":%zu,"
+          "\"directory_bytes\":%zu,\"detail_bytes\":%zu,\"tracked_ips\":%zu,"
           "\"detail_bytes_per_ip\":%.6g,\"accounting_exact\":%d,"
           "\"resident_bytes\":%zu},"
           "\"arena\":{\"nodes\":%zu,\"pool_high_water\":%zu}}",
-          leaves, ns_per_leaf, leaves_per_s, ips_per_s, memory, arena, detail,
-          tracked_ips, bytes_per_ip, exact ? 1 : 0, resident_bytes(),
-          trie.node_count(), trie.pool_high_water()));
+          leaves, ns_per_leaf, leaves_per_s, ips_per_s, memory, arena,
+          directory, detail, tracked_ips, bytes_per_ip, exact ? 1 : 0,
+          resident_bytes(), trie.node_count(), trie.pool_high_water()));
 }
 
 /// Render one section of the perf-counter report. Counter-derived keys

@@ -204,6 +204,18 @@ void FlatIpTable::insert_moved(const net::IpAddress& key, IpEntry&& entry) {
   spilled_bytes_ += dst.counts.heap_bytes();
 }
 
+void FlatIpTable::reserve(std::size_t n) {
+  assert(capacity_ == 0);
+  if (n == 0) return;
+  // find_or_insert grows when inserting the k-th entry would pass 75 %
+  // load, by doubling from kMinCapacity: n inserts end at the smallest
+  // such capacity holding n at <= 75 %.
+  std::size_t cap = kMinCapacity;
+  while (4 * n > 3 * cap) cap <<= 1;
+  slots_ = allocate_slots(cap);
+  capacity_ = cap;
+}
+
 void FlatIpTable::compact() {
   // Hysteresis: only shrink when at least three quarters of the array
   // would be reclaimed. Expiry trims a few entries per cycle, and a table

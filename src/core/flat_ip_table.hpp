@@ -199,6 +199,11 @@ class FlatIpTable {
   /// Drop everything and release the slot array.
   void clear() noexcept { destroy(); }
 
+  /// Size an empty table for `n` inserts: allocate the capacity that `n`
+  /// sequential inserts grow it to, so they run without a rehash (split
+  /// redistribution). Not capacity_for(n), which holds twice as much.
+  void reserve(std::size_t n);
+
   /// Shrink the slot array to the smallest capacity fitting the current
   /// entries (releases everything when empty). The cycle calls this after
   /// expiry so quiet ranges give memory back instead of holding their

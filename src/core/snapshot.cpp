@@ -275,6 +275,11 @@ struct SnapshotAccess {
       // Exact slot placement: iteration order is slot order and feeds the
       // split redistribution sequence, so probe-equivalent placement is
       // not enough — the restored table must be positionally identical.
+      // Placement follows the writer's insert path, not the data alone:
+      // split sizes each child table once at its final capacity, which
+      // places entries differently from growing it by doubling. No
+      // fixture pins placement across builds; restore reproduces whatever
+      // the writer held.
       out.u64(i);
       put_address(out, slot.kv.first);
       const IpEntry& entry = slot.kv.second;
@@ -553,13 +558,15 @@ struct SnapshotAccess {
   }
 
   /// Swap a staged trie into an engine-owned one. The old tree is freed
-  /// into the old pool (which dies with zero live objects), and the trie's
-  /// cached block-0 base is re-pointed at the staged pool.
+  /// into the old pool (which dies with zero live objects), the trie's
+  /// cached block-0 base is re-pointed at the staged pool, and the locate
+  /// directory is filled once from the decoded structure.
   static void adopt_trie(IpdTrie& trie, StagedTrie&& staged) {
     trie.destroy_all();
     trie.pool_ = std::move(staged.pool);
     trie.block0_ = trie.pool_->block_base(0);
     trie.root_ = 0;
+    trie.refill_directory();
     trie.leaves_.store(staged.leaves, std::memory_order_relaxed);
     trie.nodes_.store(staged.nodes, std::memory_order_relaxed);
   }

@@ -1,5 +1,6 @@
 #include "core/trie.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ipd::core {
@@ -88,6 +89,7 @@ void IpdTrie::destroy_all() noexcept {
     free_subtree(root_);
     root_ = kInvalidNode;
   }
+  directory_.reset();
 }
 
 void IpdTrie::free_subtree(NodeIndex index) noexcept {
@@ -98,8 +100,9 @@ void IpdTrie::free_subtree(NodeIndex index) noexcept {
 }
 
 RangeNode& IpdTrie::locate(const net::IpAddress& ip) noexcept {
-  // Hot path: one dependent load plus one add per level — the same
-  // critical path a pointer-linked trie would have. The address bits are a
+  // Hot path: one directory load for the top kDirectoryBits bits, then one
+  // dependent load plus one add per remaining level — the same critical
+  // path a pointer-linked trie would have. The address bits are a
   // top-aligned word shifted left once per level, so the direction flag is
   // register-only and ready long before the child edge arrives; the edge
   // itself is a precomputed byte offset (child_off_) indexed by that flag,
@@ -107,11 +110,13 @@ RangeNode& IpdTrie::locate(const net::IpAddress& ip) noexcept {
   // ×sizeof multiply on the load-to-load chain. Children outside block 0
   // (tries past 4096 nodes) take the never-predicted-taken fallback
   // through full index resolution.
+  if (directory_ == nullptr) return resolve(root_);
   std::byte* const base = reinterpret_cast<std::byte*>(block0_);
-  RangeNode* node = &resolve(root_);
-  std::uint64_t word = ip.is_v4() ? ip.lo() << 32 : ip.hi();
+  std::uint64_t word = top_word(ip);
+  RangeNode* node = &resolve(directory_[word >> (64 - kDirectoryBits)]);
+  word <<= kDirectoryBits;
   const std::uint64_t rest = ip.lo();  // v6 bits 64..127; unused for v4
-  int depth = 0;
+  int depth = kDirectoryBits;
   while (node->state_ == RangeNode::State::Internal) {
     const bool one = static_cast<std::int64_t>(word) < 0;
     const std::uint32_t off = node->child_off_[one];
@@ -124,6 +129,38 @@ RangeNode& IpdTrie::locate(const net::IpAddress& ip) noexcept {
     }
   }
   return *node;
+}
+
+void IpdTrie::write_directory(NodeIndex* directory, const net::Prefix& prefix,
+                              NodeIndex entry) noexcept {
+  const int len = prefix.length();
+  assert(len <= kDirectoryBits);
+  const std::uint64_t first =
+      top_word(prefix.address()) >> (64 - kDirectoryBits);
+  std::fill_n(directory + first, std::size_t{1} << (kDirectoryBits - len),
+              entry);
+}
+
+std::unique_ptr<NodeIndex[]> IpdTrie::filled_directory() const {
+  assert(!resolve(root_).is_leaf());
+  auto out = std::make_unique_for_overwrite<NodeIndex[]>(kDirectoryEntries);
+  std::vector<NodeIndex> stack{root_};
+  while (!stack.empty()) {
+    const RangeNode& n = resolve(stack.back());
+    stack.pop_back();
+    if (n.state_ == RangeNode::State::Internal &&
+        n.prefix_.length() < kDirectoryBits) {
+      stack.push_back(n.child0_);
+      stack.push_back(n.child1_);
+    } else {
+      write_directory(out.get(), n.prefix_, n.self_);
+    }
+  }
+  return out;
+}
+
+void IpdTrie::refill_directory() {
+  directory_ = resolve(root_).is_leaf() ? nullptr : filled_directory();
 }
 
 bool IpdTrie::split(RangeNode& node) {
@@ -148,6 +185,21 @@ bool IpdTrie::split(RangeNode& node) {
   nodes_.fetch_add(2, std::memory_order_relaxed);
   leaves_.fetch_add(1, std::memory_order_relaxed);  // one leaf becomes two
 
+  if (len < kDirectoryBits) {
+    if (len == 0) {
+      directory_ =
+          std::make_unique_for_overwrite<NodeIndex[]>(kDirectoryEntries);
+    }
+    write_directory(directory_.get(), child0.prefix_, c0);
+    write_directory(directory_.get(), child1.prefix_, c1);
+  }
+
+  // Each child table is allocated once, at the capacity its entries reach
+  // by sequential inserts, instead of doubling its way there.
+  std::size_t high = 0;
+  for (const auto& kv : node.ips_) high += kv.first.bit(len);
+  child0.ips_.reserve(node.ips_.size() - high);
+  child1.ips_.reserve(high);
   node.ips_.drain([&](const net::IpAddress& ip, IpEntry&& entry) {
     RangeNode& child = ip.bit(len) ? child1 : child0;
     for (const auto& [link, c] : entry.counts) {
@@ -178,14 +230,7 @@ bool IpdTrie::join_children(RangeNode& parent) {
   parent.counts_.merge(b->counts_);
   parent.last_update_ = std::max(a->last_update_, b->last_update_);
   parent.classified_at_ = std::min(a->classified_at_, b->classified_at_);
-  pool_->free(parent.child0_);
-  pool_->free(parent.child1_);
-  parent.child0_ = kInvalidNode;
-  parent.child1_ = kInvalidNode;
-  parent.child_off_[0] = RangeNode::kNoOffset;
-  parent.child_off_[1] = RangeNode::kNoOffset;
-  nodes_.fetch_sub(2, std::memory_order_relaxed);
-  leaves_.fetch_sub(1, std::memory_order_relaxed);
+  release_children(parent);
   return true;
 }
 
@@ -200,6 +245,11 @@ bool IpdTrie::compact_children(RangeNode& parent) {
   if (!empty_monitoring(*a) || !empty_monitoring(*b)) return false;
   parent.state_ = RangeNode::State::Monitoring;
   parent.last_update_ = 0;
+  release_children(parent);
+  return true;
+}
+
+void IpdTrie::release_children(RangeNode& parent) noexcept {
   pool_->free(parent.child0_);
   pool_->free(parent.child1_);
   parent.child0_ = kInvalidNode;
@@ -208,7 +258,12 @@ bool IpdTrie::compact_children(RangeNode& parent) {
   parent.child_off_[1] = RangeNode::kNoOffset;
   nodes_.fetch_sub(2, std::memory_order_relaxed);
   leaves_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+  const int len = parent.prefix_.length();
+  if (len == 0) {
+    directory_.reset();  // the root is a leaf again
+  } else if (len < kDirectoryBits) {
+    write_directory(directory_.get(), parent.prefix_, parent.self_);
+  }
 }
 
 void IpdTrie::for_each_leaf(const std::function<void(RangeNode&)>& fn) {
@@ -265,7 +320,16 @@ TrieCensus IpdTrie::census(std::vector<std::uint64_t>* weights) const {
   // O(1) to read (FlatIpTable keeps its spill sum), so the walk is
   // O(nodes), not O(per-IP slots).
   TrieCensus out;
-  out.memory_bytes = pool_->bytes();
+  out.memory_bytes = pool_->bytes() + directory_bytes();
+#ifndef NDEBUG
+  if (directory_ != nullptr) {
+    const std::unique_ptr<NodeIndex[]> fresh = filled_directory();
+    assert(std::equal(fresh.get(), fresh.get() + kDirectoryEntries,
+                      directory_.get()));
+  } else {
+    assert(resolve(root_).is_leaf());
+  }
+#endif
   if (weights != nullptr) weights->resize(pool_->high_water());
   // Internal nodes in pre-order, summed in reverse once the walk is done:
   // a node's children always come after it.

@@ -22,6 +22,10 @@
 // because an index is only meaningful relative to its pool; RangeNode
 // itself exposes the raw indices.
 //
+// Descents start from a directory over the top kDirectoryBits address
+// bits (see IpdTrie::locate), kept in place by split/join/compact while
+// the root is internal, so a lookup skips the first 16 levels.
+//
 // Concurrency: the trie is not synchronized — callers serialize structural
 // changes externally (the sharded engine holds an exclusive lock during
 // stage 2 and per-subtree mutexes during stage 1). Concurrent stage-2
@@ -183,6 +187,14 @@ class IpdTrie {
   explicit IpdTrie(net::Family family);
   ~IpdTrie();
 
+  /// Top address bits the locate directory covers (see locate()). 12 and
+  /// 14 left more levels per descent, and a slower locate step on the
+  /// sharded workload, than 16 (DESIGN.md §11).
+  static constexpr int kDirectoryBits = 16;
+  static constexpr std::size_t kDirectoryEntries = std::size_t{1}
+                                                   << kDirectoryBits;
+  static_assert(kDirectoryBits <= 32, "an IPv4 descent starts inside its word");
+
   // Movable (the counters are atomic only for concurrent stage-2 passes;
   // moving a trie that is being cycled concurrently is a caller bug).
   IpdTrie(IpdTrie&& other) noexcept
@@ -190,6 +202,7 @@ class IpdTrie {
         pool_(std::move(other.pool_)),
         block0_(other.block0_),
         root_(other.root_),
+        directory_(std::move(other.directory_)),
         leaves_(other.leaves_.load(std::memory_order_relaxed)),
         nodes_(other.nodes_.load(std::memory_order_relaxed)) {
     other.root_ = kInvalidNode;
@@ -200,6 +213,7 @@ class IpdTrie {
     pool_ = std::move(other.pool_);
     block0_ = other.block0_;
     root_ = other.root_;
+    directory_ = std::move(other.directory_);
     other.root_ = kInvalidNode;
     leaves_.store(other.leaves_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
@@ -230,26 +244,35 @@ class IpdTrie {
   }
 
   /// The leaf range currently covering `ip` (always exists).
+  ///
+  /// While the root is internal, a descent starts from the directory: the
+  /// entry for `ip`'s top kDirectoryBits bits is the node on that block's
+  /// path at depth min(kDirectoryBits, leaf depth) — the covering leaf
+  /// itself when it sits at or above that depth, else the internal node
+  /// at exactly that depth, from which the walk continues one dependent
+  /// load per level. Traffic concentrates in deep, narrow ranges, so this
+  /// drops the levels every descent shares.
   RangeNode& locate(const net::IpAddress& ip) noexcept;
 
   /// Interleaved descents a single walk cannot: locate() is one dependent
   /// load per level, so a cold descent stalls for a full cache miss at
   /// every level. locate_many keeps kLocateWalks independent descents in
-  /// flight round-robin; each visit advances a walk by one level and
-  /// prefetches the next node, which then has (kLocateWalks - 1) other
-  /// visits' worth of time to arrive before that walk is serviced again.
-  /// `get_ip(i)` supplies address i (0..n-1, each read exactly once, in
-  /// order); `emit(i, leaf)` receives the covering leaf. Emission order is
-  /// unspecified — callers needing arrival order buffer by index. The trie
-  /// must not be structurally mutated during the call (same contract as
-  /// locate(); stage 1 never splits).
+  /// flight round-robin; each starts from the directory as locate() does,
+  /// and each visit advances a walk by one level and prefetches the next
+  /// node, which then has (kLocateWalks - 1) other visits' worth of time
+  /// to arrive before that walk is serviced again. `get_ip(i)` supplies
+  /// address i (0..n-1, each read exactly once, in order); `emit(i, leaf)`
+  /// receives the covering leaf. Emission order is unspecified — callers
+  /// needing arrival order buffer by index. The trie must not be
+  /// structurally mutated during the call (same contract as locate();
+  /// stage 1 never splits).
   static constexpr std::size_t kLocateWalks = 8;
 
   template <class GetIp, class Emit>
   void locate_many(std::size_t n, const GetIp& get_ip,
                    const Emit& emit) noexcept {
-    if (n < 2) {
-      if (n == 1) emit(std::size_t{0}, locate(get_ip(0)));
+    if (n < 2 || directory_ == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) emit(i, locate(get_ip(i)));
       return;
     }
     std::byte* const base = reinterpret_cast<std::byte*>(block0_);
@@ -265,10 +288,12 @@ class IpdTrie {
     const auto start = [&](Walk& w) {
       const net::IpAddress& ip = get_ip(next);
       w.idx = next++;
-      w.node = &resolve(root_);
-      w.word = ip.is_v4() ? ip.lo() << 32 : ip.hi();
+      const std::uint64_t word = top_word(ip);
+      w.node = &resolve(directory_[word >> (64 - kDirectoryBits)]);
+      __builtin_prefetch(w.node, 0, 3);
+      w.word = word << kDirectoryBits;
       w.rest = ip.lo();
-      w.depth = 0;
+      w.depth = kDirectoryBits;
     };
     std::size_t active = n < kLocateWalks ? n : kLocateWalks;
     for (std::size_t i = 0; i < active; ++i) start(walks[i]);
@@ -355,9 +380,16 @@ class IpdTrie {
   TrieCensus census(std::vector<std::uint64_t>* weights = nullptr) const;
 
   /// Exact total heap usage in bytes: the node arena (block table plus
-  /// mapped blocks) plus every node's owned heap (flat tables, spilled
-  /// counters, bundle interface sets). A census() walk.
+  /// mapped blocks), the locate directory, and every node's owned heap
+  /// (flat tables, spilled counters, bundle interface sets). A census()
+  /// walk.
   std::size_t memory_bytes() const;
+
+  /// The locate directory's bytes: kDirectoryEntries NodeIndex entries
+  /// while the root is internal, none while it is a leaf.
+  std::size_t directory_bytes() const noexcept {
+    return directory_ != nullptr ? kDirectoryEntries * sizeof(NodeIndex) : 0;
+  }
 
   /// Exact arena footprint alone (blocks + block table).
   std::size_t arena_bytes() const noexcept { return pool_->bytes(); }
@@ -394,6 +426,30 @@ class IpdTrie {
                : RangeNode::kNoOffset;
   }
 
+  /// The address bits as a top-aligned word: a descent consumes its sign
+  /// bit first. IPv6 continues into lo() at depth 64.
+  static std::uint64_t top_word(const net::IpAddress& ip) noexcept {
+    return ip.is_v4() ? ip.lo() << 32 : ip.hi();
+  }
+
+  /// Point every entry of `directory` under `prefix` (length <=
+  /// kDirectoryBits) at `entry`: 2^(kDirectoryBits - length) writes, all
+  /// inside the prefix's own range, so stage-2 units over disjoint
+  /// subtrees write disjoint entries.
+  static void write_directory(NodeIndex* directory, const net::Prefix& prefix,
+                              NodeIndex entry) noexcept;
+
+  /// The directory a fresh walk from the root produces (root internal).
+  std::unique_ptr<NodeIndex[]> filled_directory() const;
+
+  /// Install the directory the current structure implies: a fresh fill
+  /// while the root is internal, none otherwise (snapshot restore).
+  void refill_directory();
+
+  /// Free `parent`'s two leaf children, making it a leaf (join/compact),
+  /// and point the directory entries under it at it.
+  void release_children(RangeNode& parent) noexcept;
+
   void visit_leaves(RangeNode& node, const std::function<void(RangeNode&)>& fn);
   void visit_post(RangeNode& node, const std::function<void(RangeNode&)>& fn);
   void destroy_all() noexcept;
@@ -405,6 +461,12 @@ class IpdTrie {
   // Cached base of the pool's first block (see resolve()).
   RangeNode* block0_ = nullptr;
   NodeIndex root_ = kInvalidNode;
+  // Locate directory: kDirectoryEntries node indices, allocated when the
+  // root splits and released when it joins or compacts, so its memory is
+  // a pure function of the structure. Entry h is the node on the path of
+  // the addresses whose top kDirectoryBits bits are h, at depth
+  // min(kDirectoryBits, leaf depth).
+  std::unique_ptr<NodeIndex[]> directory_;
   // Relaxed atomics: adjusted from concurrent per-subtree stage-2 passes;
   // increments/decrements commute, so totals stay exact and deterministic.
   std::atomic<std::size_t> leaves_{1};

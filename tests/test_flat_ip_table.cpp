@@ -184,6 +184,31 @@ TEST(FlatIpTable, InsertFindRoundTrip) {
   EXPECT_EQ(table.find(ip_of(12345)), nullptr);
 }
 
+/// reserve(n) allocates exactly the capacity n sequential inserts grow an
+/// empty table to (not capacity_for's doubled headroom), and n inserts
+/// into the reserved table then run without growing it.
+TEST(FlatIpTable, ReserveMatchesSequentialInsertCapacity) {
+  constexpr std::uint32_t kMax = 5000;
+  std::vector<std::size_t> grown{0};  // capacity after n inserts
+  FlatIpTable sequential;
+  for (std::uint32_t i = 0; i < kMax; ++i) {
+    sequential.add(ip_of(i * 2654435761u), 1, LinkId{1, 0}, 1);
+    grown.push_back(sequential.capacity());
+  }
+  for (std::uint32_t n = 0; n <= kMax; ++n) {
+    FlatIpTable reserved;
+    reserved.reserve(n);
+    ASSERT_EQ(reserved.capacity(), grown[n]) << "n = " << n;
+    ASSERT_EQ(reserved.size(), 0u);
+    if (n % 97 != 0 && n != kMax) continue;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      reserved.add(ip_of(i * 2654435761u), 1, LinkId{1, 0}, 1);
+    }
+    ASSERT_EQ(reserved.capacity(), grown[n]) << "n = " << n;
+    ASSERT_EQ(reserved.memory_bytes(), reserved.recounted_memory_bytes());
+  }
+}
+
 TEST(FlatIpTable, CompactShrinksAfterMassErase) {
   FlatIpTable table;
   for (std::uint32_t i = 0; i < 4096; ++i) {

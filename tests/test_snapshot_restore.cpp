@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "trie_probes.hpp"
+
 #include "analysis/runner.hpp"
 #include "core/engine.hpp"
 #include "core/output.hpp"
@@ -379,6 +381,42 @@ TEST_F(CrossShardRestore, RoutingInvariantsAfterRestore) {
     });
   }
   EXPECT_EQ(lpm.size(), classified);
+}
+
+/// The restored trie's locate directory is filled from the decoded
+/// structure: every probe (each donor leaf's edges and its directory
+/// blocks' edges, both ends of the space, every source) locates to the
+/// donor's prefix, and the directory's bytes match.
+TEST_F(CrossShardRestore, RestoredTrieLocatesLikeItsDonor) {
+  core::IpdEngine donor(*params_);
+  run_workload(donor, *records_, nullptr);
+  const std::string bytes =
+      core::save_snapshot(donor, core::SnapshotClock{});
+  core::EngineConfig config;
+  config.shard_bits = 2;
+  core::IpdEngine restored(*params_, config);
+  core::restore_snapshot(restored, bytes);
+
+  std::vector<net::IpAddress> probes{
+      net::IpAddress::v4(0), net::IpAddress::v4(~0u),
+      net::IpAddress::v6(0, 0), net::IpAddress::v6(~0ull, ~0ull)};
+  std::size_t deep = 0;
+  for (const net::Family family : {net::Family::V4, net::Family::V6}) {
+    EXPECT_EQ(restored.trie(family).directory_bytes(),
+              donor.trie(family).directory_bytes());
+    EXPECT_EQ(restored.trie(family).memory_bytes(),
+              donor.trie(family).memory_bytes());
+    donor.for_each_leaf(family, [&](const core::RangeNode& leaf) {
+      test::append_edge_probes(leaf.prefix(), probes);
+      deep += leaf.prefix().length() > core::IpdTrie::kDirectoryBits;
+    });
+  }
+  for (const auto& r : *records_) probes.push_back(r.src_ip);
+  ASSERT_GT(deep, 0u);  // some descents continue past the directory
+  for (const net::IpAddress& ip : probes) {
+    ASSERT_EQ(restored.locate(ip).prefix(), donor.locate(ip).prefix())
+        << ip.to_string();
+  }
 }
 
 /// Post-restore stage-2 surgery (splits, joins, drops, FlatIpTable

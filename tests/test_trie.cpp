@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trie_probes.hpp"
+
 namespace ipd::core {
 namespace {
 
@@ -14,6 +16,15 @@ using net::Family;
 using net::IpAddress;
 using net::Prefix;
 using topology::LinkId;
+
+/// The locate directory's bytes from the structure alone: one NodeIndex
+/// per top-bits block while the root is internal, nothing while it is a
+/// leaf. Counted apart from the arena, not inside arena_bytes().
+std::size_t expected_directory_bytes(const IpdTrie& trie) {
+  return trie.root().is_leaf()
+             ? 0
+             : IpdTrie::kDirectoryEntries * sizeof(NodeIndex);
+}
 
 TEST(IpdTrie, StartsAsSingleMonitoringRoot) {
   IpdTrie trie(Family::V4);
@@ -228,8 +239,9 @@ TEST(IpdTrie, MemoryIsExactSumOfArenaAndNodeHeap) {
   }
   ASSERT_TRUE(trie.split(trie.root()));
   // Cross-check the one-call accounting against an independent walk:
-  // arena footprint plus every node's owned heap, nothing else.
-  std::size_t summed = trie.arena_bytes();
+  // arena footprint, the locate directory, and every node's owned heap,
+  // nothing else.
+  std::size_t summed = trie.arena_bytes() + expected_directory_bytes(trie);
   trie.post_order([&summed](RangeNode& node) {
     summed += node.memory_bytes();
   });
@@ -352,7 +364,7 @@ TEST(IpdTrie, RandomChurnKeepsPoolAndAccountingConsistent) {
     // Invariants.
     std::size_t walked_nodes = 0;
     std::size_t walked_leaves = 0;
-    std::size_t summed = trie.arena_bytes();
+    std::size_t summed = trie.arena_bytes() + expected_directory_bytes(trie);
     trie.post_order([&](RangeNode& node) {
       ++walked_nodes;
       if (node.is_leaf()) ++walked_leaves;
@@ -417,7 +429,7 @@ TEST(RangeNode, DecrementalExpiryMatchesARebuild) {
     }
 
     TrieCensus walked;
-    walked.memory_bytes = trie.arena_bytes();
+    walked.memory_bytes = trie.arena_bytes() + expected_directory_bytes(trie);
     trie.post_order([&](RangeNode& node) {
       walked.memory_bytes += node.memory_bytes();
       if (!node.is_leaf()) return;
@@ -456,9 +468,10 @@ TEST(IpdTrie, CensusCountsLeavesByState) {
   EXPECT_EQ(census.classified, 1u);
   EXPECT_EQ(census.monitoring, 1u);
   EXPECT_EQ(census.tracked_ips, 2u);
-  EXPECT_EQ(census.memory_bytes, trie.arena_bytes() + low.memory_bytes() +
-                                     high.memory_bytes() +
-                                     trie.root().memory_bytes());
+  EXPECT_EQ(census.memory_bytes,
+            trie.arena_bytes() + expected_directory_bytes(trie) +
+                low.memory_bytes() + high.memory_bytes() +
+                trie.root().memory_bytes());
 }
 
 TEST(IpdTrie, V6Works) {
@@ -469,6 +482,169 @@ TEST(IpdTrie, V6Works) {
   auto& after = trie.locate(IpAddress::from_string("2001:db8::1"));
   EXPECT_EQ(after.prefix().to_string(), "::/1");
   EXPECT_EQ(after.ips().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Descents through the locate directory against a root descent.
+
+/// Reference: follow child edges bit by bit from the root, using nothing
+/// the directory or the block-0 offsets hold.
+const RangeNode& reference_locate(const IpdTrie& trie, const IpAddress& ip) {
+  const RangeNode* node = &trie.root();
+  while (!node->is_leaf()) {
+    node = trie.child(*node, ip.bit(node->prefix().length()));
+  }
+  return *node;
+}
+
+/// locate() and locate_many() (whole list and short prefixes of it) land
+/// on the reference leaf for every probe; locate_many reads each address
+/// once, in order.
+void expect_descents_agree(IpdTrie& trie, const std::vector<IpAddress>& probes,
+                           int round) {
+  for (const std::size_t n :
+       {probes.size(), std::size_t{1}, IpdTrie::kLocateWalks + 1}) {
+    const std::size_t count = std::min(n, probes.size());
+    std::vector<const RangeNode*> many(count, nullptr);
+    std::size_t reads = 0;
+    trie.locate_many(
+        count,
+        [&](std::size_t i) -> const IpAddress& {
+          EXPECT_EQ(i, reads++);
+          return probes[i];
+        },
+        [&](std::size_t i, RangeNode& leaf) {
+          EXPECT_EQ(many[i], nullptr) << "emitted twice";
+          many[i] = &leaf;
+        });
+    ASSERT_EQ(reads, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const RangeNode& expected = reference_locate(trie, probes[i]);
+      ASSERT_EQ(&trie.locate(probes[i]), &expected)
+          << "round " << round << " locate " << probes[i].to_string();
+      ASSERT_EQ(many[i], &expected)
+          << "round " << round << " locate_many " << probes[i].to_string();
+    }
+  }
+}
+
+IpAddress random_address(Family family, std::mt19937_64& rng) {
+  return family == Family::V4
+             ? IpAddress::v4(static_cast<std::uint32_t>(rng()))
+             : IpAddress::v6(rng(), rng());
+}
+
+/// Random split/join/compact churn. Splits mostly follow a few hot
+/// addresses (0, all-ones, one random) so leaves reach far below the
+/// directory depth — past /64 on IPv6 — while random splits and joins
+/// keep leaves above and at it. After every operation, the edges of the
+/// touched node's blocks plus a fixed probe set must descend alike.
+void churn_descents(Family family, std::uint64_t seed, int rounds) {
+  constexpr int kBits = IpdTrie::kDirectoryBits;
+  std::mt19937_64 rng(seed);
+  IpdTrie trie(family);
+  const IpAddress zero =
+      family == Family::V4 ? IpAddress::v4(0) : IpAddress::v6(0, 0);
+  const IpAddress ones = family == Family::V4 ? IpAddress::v4(~0u)
+                                              : IpAddress::v6(~0ull, ~0ull);
+  const std::vector<IpAddress> hot{zero, ones, random_address(family, rng)};
+  std::vector<IpAddress> fixed = hot;
+  for (int i = 0; i < 200; ++i) fixed.push_back(random_address(family, rng));
+
+  int max_depth = 0;
+  bool above = false;
+  bool at = false;
+  bool below = false;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<RangeNode*> leaves;
+    std::vector<RangeNode*> joinable;  // internal, both children leaves
+    trie.post_order([&](RangeNode& node) {
+      if (node.is_leaf()) {
+        leaves.push_back(&node);
+      } else if (trie.child(node, 0)->is_leaf() &&
+                 trie.child(node, 1)->is_leaf()) {
+        joinable.push_back(&node);
+      }
+    });
+    for (const RangeNode* leaf : leaves) {
+      const int len = leaf->prefix().length();
+      max_depth = std::max(max_depth, len);
+      above |= len < kBits;
+      at |= len == kBits;
+      below |= len > kBits;
+    }
+
+    const int op = static_cast<int>(rng() % 100);
+    RangeNode* touched = nullptr;
+    if (op < 65) {
+      RangeNode& leaf =
+          op < 50 ? const_cast<RangeNode&>(
+                        reference_locate(trie, hot[rng() % hot.size()]))
+                  : *leaves[rng() % leaves.size()];
+      if (leaf.state() == RangeNode::State::Classified) {
+        leaf.reset_to_monitoring();
+      }
+      if (trie.split(leaf)) touched = &leaf;
+    } else if (!joinable.empty()) {
+      RangeNode& parent = *joinable[rng() % joinable.size()];
+      RangeNode& a = *trie.child(parent, 0);
+      RangeNode& b = *trie.child(parent, 1);
+      a.reset_to_monitoring();
+      b.reset_to_monitoring();
+      if (op < 85) {
+        const IngressId ingress(LinkId{1, 0});
+        a.classify(ingress, round);
+        b.classify(ingress, round);
+        ASSERT_TRUE(trie.join_children(parent));
+      } else {
+        ASSERT_TRUE(trie.compact_children(parent));
+      }
+      touched = &parent;
+    }
+
+    std::vector<IpAddress> probes = fixed;
+    if (touched != nullptr) test::append_edge_probes(touched->prefix(), probes);
+    expect_descents_agree(trie, probes, round);
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(trie.directory_bytes(), expected_directory_bytes(trie));
+  }
+  // The churn reached every case the directory distinguishes.
+  EXPECT_TRUE(above);
+  EXPECT_TRUE(at);
+  EXPECT_TRUE(below);
+  if (family == Family::V6) {
+    EXPECT_GT(max_depth, 64);
+  }
+}
+
+TEST(TrieDescent, DirectoryMatchesRootDescentUnderChurnV4) {
+  churn_descents(Family::V4, 0x1d1du, 800);
+}
+
+TEST(TrieDescent, DirectoryMatchesRootDescentUnderChurnV6) {
+  churn_descents(Family::V6, 0x6d6du, 800);
+}
+
+TEST(TrieDescent, DirectoryLivesOnlyWhileTheRootIsInternal) {
+  IpdTrie trie(Family::V4);
+  EXPECT_EQ(trie.directory_bytes(), 0u);
+  const std::size_t leaf_bytes = trie.memory_bytes();
+  ASSERT_TRUE(trie.split(trie.root()));
+  EXPECT_EQ(trie.directory_bytes(),
+            IpdTrie::kDirectoryEntries * sizeof(NodeIndex));
+  EXPECT_EQ(trie.census().memory_bytes,
+            trie.arena_bytes() + trie.directory_bytes());
+  ASSERT_TRUE(trie.compact_children(trie.root()));
+  EXPECT_EQ(trie.directory_bytes(), 0u);
+  EXPECT_EQ(trie.memory_bytes(), leaf_bytes);
+
+  // A moved trie carries its directory.
+  ASSERT_TRUE(trie.split(trie.root()));
+  IpdTrie moved(std::move(trie));
+  EXPECT_EQ(moved.directory_bytes(),
+            IpdTrie::kDirectoryEntries * sizeof(NodeIndex));
+  const IpAddress high = IpAddress::from_string("200.1.2.3");
+  EXPECT_EQ(&moved.locate(high), moved.child(moved.root(), 1));
 }
 
 }  // namespace
